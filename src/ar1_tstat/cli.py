@@ -5,12 +5,14 @@ Every subcommand writes its primary output to --out plus a JSON manifest at
 time- or host-dependent, so a rerun with the same arguments is
 byte-identical; the manifest (which carries a timestamp) is the only file
 that differs. Exit codes: 0 success, 1 verification failure, 2 usage or
-validation error.
+validation error, or a run that could not finish (failed quadrature, broken
+worker pool, out of memory).
 """
 
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import csv
 import json
 import math
@@ -20,7 +22,6 @@ import sys
 from datetime import datetime, timezone
 
 import numpy as np
-from scipy.special import erf
 
 from . import __version__, moments
 from .montecarlo import (
@@ -34,7 +35,7 @@ from .montecarlo import (
 from .moments import MomentQuantity
 from .params import Ar1Params
 from .process import linear_combination_law
-from .student import StudentLaw
+from .student import QuadratureError, StudentLaw
 from .verification import (
     SMALL_N_GRID,
     SMALL_RHO_GRID,
@@ -242,6 +243,8 @@ def _reference_cdf(functional: Functional, params: Ar1Params):
         law = StudentLaw(params.n - 1)
         return law.cdf, f"student-t({params.n - 1})"
     if functional is Functional.SAMPLE_MEAN:
+        from scipy.special import erf  # deferred: the other functionals never need scipy
+
         law = linear_combination_law(params, np.full(params.n, 1.0 / params.n))
 
         def normal_cdf(x):
@@ -521,8 +524,16 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.handler(args, argv)
-    except (ValueError, TypeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (
+        ValueError,
+        TypeError,
+        OSError,
+        QuadratureError,
+        concurrent.futures.BrokenExecutor,
+        MemoryError,
+    ) as exc:
+        # exit 1 is reserved for a failed verification
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -18,10 +18,25 @@ reductions. That keeps the oracle comfortably more accurate than the
 float64 expressions it is used to judge: the binding comparisons are at
 1e-12 relative, and cancellation at grid corners like (n=2, rho=0.99)
 leaves plain float64 with almost no headroom there.
+
+S = s R with s = sigma^2 / (1 - rho^2) and R[i, j] = rho^|i-j| is
+Toeplitz, so it is built from the n powers rho^0 .. rho^(n-1) gathered by
+lag. The last S built is cached (read-only), so the several queries made
+at one grid point share one build. The last centering form and the last
+tr((Q S)^2) are cached too; the variance and the second moment share the
+latter. The product Q S is never formed as a dense matmul: column j of
+Q R is
+
+    F[:, j] + B[:, j],   F[:, j] = sum_{k <= j} rho^(j-k) Q[:, k],
+                         B[:, j] = sum_{k > j}  rho^(k-j) Q[:, k],
+
+and both sums are first-order recursions over j, one run forward and one
+backward, advanced together in one loop: O(n^2) in all.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +57,12 @@ __all__ = [
 _LD = np.longdouble
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticForm:
-    """A symmetric matrix viewed as the map y -> y' Q y."""
+    """A symmetric matrix viewed as the map y -> y' Q y.
+
+    Forms compare and hash by identity, so a form can key a cache.
+    """
 
     matrix: np.ndarray
     label: str = ""
@@ -68,12 +86,13 @@ class QuadraticForm:
         return float(y @ self.matrix @ y)
 
 
+@functools.lru_cache(maxsize=1)
 def centering_form(n: int) -> QuadraticForm:
     """Form whose value at a path is the Bessel-corrected sample variance.
 
     The matrix is (I - J/n) / (n - 1) with J the all-ones matrix; it
     annihilates the constant vector, so the form only sees deviations from
-    the sample mean.
+    the sample mean. The last form built is cached; it is immutable.
     """
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
@@ -81,12 +100,42 @@ def centering_form(n: int) -> QuadraticForm:
     return QuadraticForm(q, label="sample variance")
 
 
-def _covariance_extended(params: Ar1Params) -> np.ndarray:
-    # sigma^2 Omega in extended precision
+def _scale(params: Ar1Params) -> np.longdouble:
+    # the marginal variance sigma^2 / (1 - rho^2)
     rho = _LD(params.rho)
-    scale = _LD(params.sigma) ** 2 / (_LD(1.0) - rho * rho)
+    return _LD(params.sigma) ** 2 / (_LD(1.0) - rho * rho)
+
+
+@functools.lru_cache(maxsize=1)
+def _covariance_extended(params: Ar1Params) -> np.ndarray:
+    # sigma^2 Omega in extended precision, from the n lag powers
+    rho = _LD(params.rho)
     idx = np.arange(params.n)
-    return scale * rho ** np.abs(idx[:, None] - idx[None, :])
+    cov = _scale(params) * (rho**idx)[np.abs(idx[:, None] - idx[None, :])]
+    cov.setflags(write=False)
+    return cov
+
+
+def _form_times_covariance(q: np.ndarray, params: Ar1Params) -> np.ndarray:
+    """Q S in extended precision, by one AR sweep run both ways over Q.
+
+    Column j of Q R is F_j + B_j, where F_0 = Q_0, F_j = rho F_(j-1) + Q_j,
+    and B_(n-1) = 0, B_j = rho G_j with G_(n-2) = Q_(n-1),
+    G_j = rho G_(j+1) + Q_(j+1). F and G are the same recursion, one
+    forward and one backward, so a single loop advances both: sweep[j]
+    holds F_j and G_(n-2-j).
+    """
+    rho = _LD(params.rho)
+    n = len(q)
+    sweep = np.empty((n, 2, n), dtype=_LD)
+    sweep[:, 0] = q.T
+    sweep[:, 1] = q.T[::-1]
+    for j in range(1, n):
+        sweep[j] += rho * sweep[j - 1]
+    prod_t = sweep[:, 0]
+    prod_t[:-1] += rho * sweep[-2::-1, 1]
+    prod_t *= _scale(params)
+    return prod_t.T
 
 
 def _check_dim(form: QuadraticForm, params: Ar1Params) -> None:
@@ -102,21 +151,25 @@ def form_mean(form: QuadraticForm, params: Ar1Params) -> float:
     return float((form.matrix.astype(_LD) * cov.T).sum())
 
 
+@functools.lru_cache(maxsize=1)
+def _trace_of_square(form: QuadraticForm, params: Ar1Params) -> np.longdouble:
+    # tr((Q S)^2), shared by the variance and the second moment
+    prod = _form_times_covariance(form.matrix, params)
+    return (prod * prod.T).sum()
+
+
 def form_variance(form: QuadraticForm, params: Ar1Params) -> float:
     """Var[Y' Q Y] = 2 tr((Q S)^2)."""
     _check_dim(form, params)
-    prod = form.matrix.astype(_LD) @ _covariance_extended(params)
-    return float(_LD(2.0) * (prod * prod.T).sum())
+    return float(_LD(2.0) * _trace_of_square(form, params))
 
 
 def form_second_moment(form: QuadraticForm, params: Ar1Params) -> float:
     """E[(Y' Q Y)^2] = (tr Q S)^2 + 2 tr((Q S)^2)."""
     _check_dim(form, params)
     cov = _covariance_extended(params)
-    q = form.matrix.astype(_LD)
-    mean = (q * cov.T).sum()
-    prod = q @ cov
-    return float(mean * mean + _LD(2.0) * (prod * prod.T).sum())
+    mean = (form.matrix.astype(_LD) * cov.T).sum()
+    return float(mean * mean + _LD(2.0) * _trace_of_square(form, params))
 
 
 def scaled_mean_variance(params: Ar1Params) -> float:

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 __all__ = ["StudentLaw", "QuadratureError"]
 
@@ -33,6 +32,8 @@ class QuadratureError(RuntimeError):
 
 
 def _quad(func, lo, hi, epsabs, epsrel):
+    from scipy import integrate  # deferred: only the quadrature routes load scipy
+
     # scipy signals non-convergence through IntegrationWarning; surface it
     # as the explicit error the contract asks for
     with warnings.catch_warnings():

@@ -1,13 +1,21 @@
-"""End-to-end CLI behavior through main(); no subprocesses needed here."""
+"""End-to-end CLI behavior through main(); only the import check spawns a process."""
 
+import concurrent.futures.process
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ar1_tstat
+from ar1_tstat import cli
 from ar1_tstat.cli import _merge_negative_values, _parse_grid, main
+from ar1_tstat.student import QuadratureError, StudentLaw
 
 TABLE_HEADER = (
     "n,rho,sigma,var_num_closed,var_num_oracle,e_s2_closed,e_s2_oracle,"
@@ -239,6 +247,62 @@ def test_simulate_rejects_nonstationary_rho(tmp_path, capsys):
 def test_usage_error_exit_code(tmp_path, capsys):
     assert main(["simulate", "--functional", "bogus"]) == 2
     assert main(["no-such-command"]) == 2
+
+
+def _raise(exc):
+    def raiser(*args, **kwargs):
+        raise exc
+
+    return raiser
+
+
+def _assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_quadrature_failure_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        StudentLaw, "density_integral", _raise(QuadratureError("did not converge"))
+    )
+    rc = main(["density", "--dof", "3", "--grid-t", "0,1", "--out", str(tmp_path / "d.csv")])
+    assert rc == 2
+    _assert_one_line_error(capsys)
+
+
+def test_broken_pool_exit_code(tmp_path, capsys, monkeypatch):
+    broken = concurrent.futures.process.BrokenProcessPool("a worker died")
+    monkeypatch.setattr(cli, "simulate_functional", _raise(broken))
+    rc = main(
+        [
+            "simulate", "--functional", "tstat", "--n", "5", "--rho", "0.5",
+            "--reps", "10", "--seed", "1", "--workers", "2",
+            "--out", str(tmp_path / "x.csv"),
+        ]
+    )
+    assert rc == 2
+    _assert_one_line_error(capsys)
+
+
+def test_memory_error_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_verification", _raise(MemoryError()))
+    rc = main(["verify", "--grid", "small", "--out", str(tmp_path / "v.json")])
+    assert rc == 2
+    _assert_one_line_error(capsys)
+
+
+def test_cli_import_does_not_load_scipy():
+    # verify, table-moments and the tstat/mtstat runs need no scipy; only
+    # the quadrature density and the sample-mean reference load it
+    src = str(Path(ar1_tstat.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, ar1_tstat.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 # -- density ------------------------------------------------------------------

@@ -22,10 +22,15 @@ from ar1_tstat import (
     form_variance,
     mean_covariance_profile,
     paths_from_normals,
+    run_verification,
     scaled_mean_variance,
     stream_generator,
 )
+from ar1_tstat import oracle
 from ar1_tstat.oracle import covariance_with_mean
+from ar1_tstat.verification import DEFAULT_N_GRID, DEFAULT_RHO_GRID
+
+_LD = np.longdouble
 
 
 def test_quadratic_form_requires_symmetry():
@@ -137,3 +142,64 @@ def test_mu_does_not_enter():
     b = Ar1Params(mu=7.0, sigma=1.0, rho=0.5, n=5)
     assert form_mean(q, a) == form_mean(q, b)
     assert form_variance(q, a) == form_variance(q, b)
+
+
+def _dense_covariance(p):
+    # entrywise rho^|i-j|, one power per entry: independent of the lag gather
+    rho = _LD(p.rho)
+    scale = _LD(p.sigma) ** 2 / (_LD(1.0) - rho * rho)
+    idx = np.arange(p.n)
+    return scale * rho ** np.abs(idx[:, None] - idx[None, :])
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant != 63,
+    reason="the dense reference is bit-equal only with 80-bit long double",
+)
+def test_oracle_matches_dense_product_bit_for_bit():
+    for n in DEFAULT_N_GRID:
+        q = centering_form(n)
+        qld = q.matrix.astype(_LD)
+        for rho in DEFAULT_RHO_GRID:
+            p = Ar1Params(mu=0.0, sigma=1.0, rho=rho, n=n)
+            cov = _dense_covariance(p)
+            mean = (qld * cov.T).sum()
+            prod = qld @ cov
+            var = _LD(2.0) * (prod * prod.T).sum()
+            assert form_mean(q, p) == float(mean)
+            assert form_variance(q, p) == float(var)
+            assert form_second_moment(q, p) == float(mean * mean + var)
+            assert scaled_mean_variance(p) == float(cov.sum() / _LD(n))
+            profile = (cov.sum(axis=1) / _LD(n)).astype(float)
+            assert np.array_equal(mean_covariance_profile(p), profile)
+
+
+@pytest.mark.parametrize("rho", [-0.999, 0.999])
+def test_sweep_product_matches_dense_product(rho):
+    n = 40
+    a = stream_generator(808, 0).standard_normal((n, n))
+    q = QuadraticForm(a + a.T)
+    p = Ar1Params(mu=0.0, sigma=1.3, rho=rho, n=n)
+    qld = q.matrix.astype(_LD)
+    dense = qld @ _dense_covariance(p)
+    sweep = oracle._form_times_covariance(qld, p)
+    assert np.abs(sweep - dense).max() <= 1e-15 * np.abs(dense).max()
+    want = 2.0 * (dense * dense.T).sum()
+    assert form_variance(q, p) == pytest.approx(float(want), rel=1e-15)
+
+
+def test_grid_point_builds_covariance_and_product_once():
+    oracle._covariance_extended.cache_clear()
+    oracle._trace_of_square.cache_clear()
+    run_verification(n_grid=[5], rho_grid=[0.5])
+    info = oracle._covariance_extended.cache_info()
+    assert info.misses == 1
+    assert info.hits > 0
+    # the variance and the second moment share one Q S product
+    assert oracle._trace_of_square.cache_info().misses == 1
+
+
+def test_cached_covariance_is_read_only():
+    cov = oracle._covariance_extended(Ar1Params(mu=0.0, sigma=1.0, rho=0.3, n=4))
+    with pytest.raises(ValueError):
+        cov[0, 0] = 0.0
