@@ -23,7 +23,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, moments
+from . import __version__
 from .montecarlo import (
     Functional,
     SimulationConfig,
@@ -39,6 +39,7 @@ from .student import QuadratureError, StudentLaw
 from .verification import (
     SMALL_N_GRID,
     SMALL_RHO_GRID,
+    moment_grid,
     run_verification,
 )
 
@@ -185,21 +186,16 @@ def cmd_table_moments(args, argv) -> int:
         "var_s2": MomentQuantity.SAMPLE_VARIANCE_VARIANCE,
     }
     rows = []
-    for n in n_grid:
-        for rho in rho_grid:
-            params = Ar1Params(mu=0.0, sigma=sigma, rho=float(rho), n=n)
-            row = {"n": n, "rho": float(rho), "sigma": sigma}
-            max_rel = 0.0
-            flagged = False
-            for prefix, quantity in quantities.items():
-                report = moments.compare_moment(quantity, params)
-                row[f"{prefix}_closed"] = report.closed_form
-                row[f"{prefix}_oracle"] = report.oracle
-                max_rel = max(max_rel, report.rel_gap)
-                flagged = flagged or report.discrepant
-            row["max_rel_gap"] = max_rel
-            row["discrepancy_flag"] = int(flagged)
-            rows.append(row)
+    for params, reports in moment_grid(n_grid, rho_grid, sigma):
+        row = {"n": params.n, "rho": params.rho, "sigma": sigma}
+        for prefix, quantity in quantities.items():
+            row[f"{prefix}_closed"] = reports[quantity].closed_form
+            row[f"{prefix}_oracle"] = reports[quantity].oracle
+        # the flag and the gap cover the tabulated columns only
+        shown = [reports[q] for q in quantities.values()]
+        row["max_rel_gap"] = max(0.0, *(r.rel_gap for r in shown))
+        row["discrepancy_flag"] = int(any(r.discrepant for r in shown))
+        rows.append(row)
     _write_csv(args.out, _TABLE_COLUMNS, rows)
     _write_manifest(args.out, "table-moments", argv, [args.out])
     return 0
@@ -255,7 +251,8 @@ def _reference_cdf(functional: Functional, params: Ar1Params):
     return None, ""
 
 
-def cmd_simulate(args, argv) -> int:
+def _simulate(args) -> tuple[SimulationConfig, Functional, np.ndarray]:
+    """Run the functional named by the model and run flags."""
     params = Ar1Params(mu=args.mu, sigma=args.sigma, rho=args.rho, n=args.n)
     config = SimulationConfig(
         params=params,
@@ -264,7 +261,12 @@ def cmd_simulate(args, argv) -> int:
         workers=_resolve_workers(args),
     )
     functional = Functional(args.functional)
-    values = simulate_functional(config, functional)
+    return config, functional, simulate_functional(config, functional)
+
+
+def cmd_simulate(args, argv) -> int:
+    config, functional, values = _simulate(args)
+    params = config.params
     summary = summarize(values)
     cdf, reference = _reference_cdf(functional, params)
     if cdf is not None:
@@ -341,18 +343,11 @@ def cmd_density(args, argv) -> int:
         ]
         if missing:
             raise ValueError(f"simulation mode needs {', '.join(missing)}")
-        params = Ar1Params(mu=args.mu, sigma=args.sigma, rho=args.rho, n=args.n)
-        config = SimulationConfig(
-            params=params,
-            replications=args.reps,
-            seed=args.seed,
-            workers=_resolve_workers(args),
-        )
-        values = simulate_functional(config, Functional(args.functional))
+        config, _, values = _simulate(args)
         kde = empirical_density(values, grid, bandwidth=args.bandwidth)
         rows = [{"t": float(t), "kde": float(d)} for t, d in zip(grid, kde)]
         columns = ["t", "kde"]
-        seed, reps = config.seed, config.replications
+        params, seed, reps = config.params, config.seed, config.replications
     _write_csv(args.out, columns, rows)
     _write_manifest(
         args.out, "density", argv, [args.out], params=params, seed=seed, replications=reps
@@ -363,16 +358,16 @@ def cmd_density(args, argv) -> int:
 # -- parser wiring ------------------------------------------------------------
 
 
-def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, required=True, help="sample length (>= 2)")
-    parser.add_argument("--rho", type=float, required=True, help="lag-1 autocorrelation")
+def _add_model_flags(parser: argparse.ArgumentParser, required: bool) -> None:
+    parser.add_argument("--n", type=int, required=required, help="sample length (>= 2)")
+    parser.add_argument("--rho", type=float, required=required, help="lag-1 autocorrelation")
     parser.add_argument("--mu", type=float, default=0.0, help="process mean")
     parser.add_argument("--sigma", type=float, default=1.0, help="innovation scale")
 
 
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--reps", type=int, required=True, help="number of replications")
-    parser.add_argument("--seed", type=int, required=True, help="64-bit stream seed")
+def _add_run_flags(parser: argparse.ArgumentParser, required: bool) -> None:
+    parser.add_argument("--reps", type=int, required=required, help="number of replications")
+    parser.add_argument("--seed", type=int, required=required, help="64-bit stream seed")
     parser.add_argument(
         "--workers",
         type=int,
@@ -416,8 +411,8 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     simulate = subparsers.add_parser(
         "simulate", help="replicate a functional and summarize it"
     )
-    _add_model_flags(simulate)
-    _add_run_flags(simulate)
+    _add_model_flags(simulate, required=True)
+    _add_run_flags(simulate, required=True)
     simulate.add_argument(
         "--functional",
         required=True,
@@ -441,13 +436,8 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
         choices=[f.value for f in Functional],
         help="simulation mode: statistic to estimate",
     )
-    density.add_argument("--n", type=int, default=None)
-    density.add_argument("--rho", type=float, default=None)
-    density.add_argument("--mu", type=float, default=0.0)
-    density.add_argument("--sigma", type=float, default=1.0)
-    density.add_argument("--reps", type=int, default=None)
-    density.add_argument("--seed", type=int, default=None)
-    density.add_argument("--workers", type=int, default=None)
+    _add_model_flags(density, required=False)
+    _add_run_flags(density, required=False)
     density.add_argument("--bandwidth", type=float, default=None)
     density.add_argument("--grid-t", required=True, help="evaluation grid for t")
     density.add_argument("--out", required=True, help="CSV output path")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .params import Ar1Params
 from .process import paths_from_normals, stream_generator
-from .tstat import whiten
+from .tstat import row_statistics, whiten
 
 __all__ = [
     "BLOCK_SIZE",
@@ -96,48 +96,27 @@ class KsReport:
 
 def _block_layout(replications: int) -> list[tuple[int, int]]:
     """(block index, rows) pairs covering the requested replications."""
-    blocks = []
-    remaining = replications
-    index = 0
-    while remaining > 0:
-        rows = min(BLOCK_SIZE, remaining)
-        blocks.append((index, rows))
-        remaining -= rows
-        index += 1
-    return blocks
-
-
-def _evaluate_functional(
-    paths: np.ndarray, params: Ar1Params, functional: Functional
-) -> np.ndarray:
-    # Mirrors the scalar implementations in tstat.py operation for
-    # operation so block rows match single-path results bit for bit.
-    if functional is Functional.MODIFIED_T_STAT:
-        paths = whiten(paths, params.rho)
-    if functional is Functional.SAMPLE_MEAN:
-        return paths.mean(axis=1)
-    means = paths.mean(axis=1)
-    centered = paths - means[:, None]
-    bessel = np.sum(centered * centered, axis=1) / (params.n - 1)
-    if functional is Functional.SAMPLE_VARIANCE:
-        return bessel
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = math.sqrt(params.n) * (means - params.mu) / np.sqrt(bessel)
-    values[bessel == 0.0] = np.nan
-    return values
-
-
-def _functional_block(
-    params: Ar1Params, seed: int, block: int, rows: int, functional: Functional
-) -> np.ndarray:
-    rng = stream_generator(seed, block)
-    normals = rng.standard_normal((rows, params.n))
-    return _evaluate_functional(paths_from_normals(params, normals), params, functional)
+    starts = range(0, replications, BLOCK_SIZE)
+    return [(b, min(BLOCK_SIZE, replications - start)) for b, start in enumerate(starts)]
 
 
 def _path_block(params: Ar1Params, seed: int, block: int, rows: int) -> np.ndarray:
     rng = stream_generator(seed, block)
     return paths_from_normals(params, rng.standard_normal((rows, params.n)))
+
+
+def _functional_block(
+    params: Ar1Params, seed: int, block: int, rows: int, functional: Functional
+) -> np.ndarray:
+    paths = _path_block(params, seed, block, rows)
+    if functional is Functional.MODIFIED_T_STAT:
+        paths = whiten(paths, params.rho)
+    means, bessel, values = row_statistics(paths, params.mu)
+    if functional is Functional.SAMPLE_MEAN:
+        return means
+    if functional is Functional.SAMPLE_VARIANCE:
+        return bessel
+    return values
 
 
 def simulate_functional(config: SimulationConfig, functional: Functional) -> np.ndarray:
@@ -232,8 +211,9 @@ def ks_test(samples, reference_cdf, reference: str = "") -> KsReport:
         Observed values; non-finite entries (degenerate replications)
         are dropped before testing.
     reference_cdf : callable
-        Distribution function of the reference law. Vectorized callables
-        are used directly; scalar-only callables are looped over.
+        Vectorized distribution function of the reference law, called once
+        on the sorted sample. A result of another shape, or outside [0, 1],
+        raises ValueError.
     reference : str
         Label stored in the report; defaults to the callable's name.
 
@@ -246,12 +226,9 @@ def ks_test(samples, reference_cdf, reference: str = "") -> KsReport:
     m = sorted_values.size
     if m == 0:
         raise ValueError("ks_test needs a non-empty sample")
-    try:
-        cdf_values = np.asarray(reference_cdf(sorted_values), dtype=float)
-        if cdf_values.shape != sorted_values.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        cdf_values = np.array([float(reference_cdf(v)) for v in sorted_values])
+    cdf_values = np.asarray(reference_cdf(sorted_values), dtype=float)
+    if cdf_values.shape != sorted_values.shape:
+        raise ValueError(f"reference_cdf returned shape {cdf_values.shape} for {m} samples")
     if not np.all(np.isfinite(cdf_values)) or cdf_values.min() < 0 or cdf_values.max() > 1:
         raise ValueError("reference_cdf must return probabilities in [0, 1]")
     ranks = np.arange(1, m + 1, dtype=float)

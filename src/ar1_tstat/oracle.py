@@ -22,10 +22,10 @@ leaves plain float64 with almost no headroom there.
 S = s R with s = sigma^2 / (1 - rho^2) and R[i, j] = rho^|i-j| is
 Toeplitz, so it is built from the n powers rho^0 .. rho^(n-1) gathered by
 lag. The last S built is cached (read-only), so the several queries made
-at one grid point share one build. The last centering form and the last
-tr((Q S)^2) are cached too; the variance and the second moment share the
-latter. The product Q S is never formed as a dense matmul: column j of
-Q R is
+at one grid point share one build. The last profile S 1 / n, the last
+centering form and the last tr((Q S)^2) are cached too; the variance and
+the second moment share the latter. The product Q S is never formed as a
+dense matmul: column j of Q R is
 
     F[:, j] + B[:, j],   F[:, j] = sum_{k <= j} rho^(j-k) Q[:, k],
                          B[:, j] = sum_{k > j}  rho^(k-j) Q[:, k],
@@ -178,15 +178,20 @@ def scaled_mean_variance(params: Ar1Params) -> float:
     return float(cov.sum() / _LD(params.n))
 
 
+@functools.lru_cache(maxsize=1)
 def mean_covariance_profile(params: Ar1Params) -> np.ndarray:
-    """Vector of Cov(sample mean, X_j) for j = 1..n, i.e. S 1 / n."""
+    """Vector of Cov(sample mean, X_j) for j = 1..n, i.e. S 1 / n.
+
+    The last profile built is cached; it is read-only.
+    """
     cov = _covariance_extended(params)
-    return (cov.sum(axis=1) / _LD(params.n)).astype(float)
+    profile = (cov.sum(axis=1) / _LD(params.n)).astype(float)
+    profile.setflags(write=False)
+    return profile
 
 
 def covariance_with_mean(params: Ar1Params, j: int) -> float:
     """Cov(sample mean, X_j) as the j-th entry of S 1 / n, 1-based j."""
     if not 1 <= j <= params.n:
         raise ValueError(f"j must lie in 1..{params.n}, got {j}")
-    cov = _covariance_extended(params)
-    return float(cov[j - 1].sum() / _LD(params.n))
+    return float(mean_covariance_profile(params)[j - 1])

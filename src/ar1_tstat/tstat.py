@@ -14,6 +14,7 @@ __all__ = [
     "StatKind",
     "TStatResult",
     "DegenerateSampleError",
+    "row_statistics",
     "t_statistic",
     "modified_t_statistic",
     "noncentrality",
@@ -87,13 +88,32 @@ def _values_of(path_or_values) -> np.ndarray:
     return values
 
 
-def _mean_and_bessel_variance(values: np.ndarray) -> tuple[float, float]:
-    # Two passes: mean first, then centered sum of squares. The one-pass
-    # update loses digits once mean^2 dominates the variance.
-    mean = float(np.mean(values))
-    centered = values - mean
-    bessel = float(np.sum(centered * centered)) / (values.size - 1)
-    return mean, bessel
+def row_statistics(rows: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample mean, Bessel variance and t-value of each row (last axis).
+
+    The one statistic kernel, for single paths (as 1-row arrays) and for
+    engine blocks alike. Two passes, mean first and then the centered sum
+    of squares: the one-pass update loses digits once mean^2 dominates the
+    variance. The t-value sqrt(n) (mean - mu) / s is NaN where s is 0.
+    """
+    n = rows.shape[-1]
+    means = rows.mean(axis=-1)
+    centered = rows - means[..., None]
+    centered *= centered
+    bessel = centered.sum(axis=-1) / (n - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = math.sqrt(n) * (means - mu) / np.sqrt(bessel)
+    values[bessel == 0.0] = np.nan
+    return means, bessel, values
+
+
+def _single_path(
+    values: np.ndarray, mu: float, kind: StatKind, message: str, whitened_mean: float | None = None
+) -> TStatResult:
+    mean, bessel, value = (float(a[0]) for a in row_statistics(values[None, :], mu))
+    if bessel == 0.0:
+        raise DegenerateSampleError(message)
+    return TStatResult(value, mean, bessel, kind, whitened_mean)
 
 
 def t_statistic(path_or_values, mu: float = 0.0) -> TStatResult:
@@ -115,14 +135,12 @@ def t_statistic(path_or_values, mu: float = 0.0) -> TStatResult:
     DegenerateSampleError
         If every sample value is identical.
     """
-    values = _values_of(path_or_values)
-    mean, bessel = _mean_and_bessel_variance(values)
-    if bessel == 0.0:
-        raise DegenerateSampleError(
-            "sample variance is zero (all values identical); t-statistic undefined"
-        )
-    value = math.sqrt(values.size) * (mean - mu) / math.sqrt(bessel)
-    return TStatResult(value, mean, bessel, StatKind.CLASSICAL)
+    return _single_path(
+        _values_of(path_or_values),
+        mu,
+        StatKind.CLASSICAL,
+        "sample variance is zero (all values identical); t-statistic undefined",
+    )
 
 
 def modified_t_statistic(
@@ -155,13 +173,10 @@ def modified_t_statistic(
     values = _values_of(path_or_values)
     if values.size != params.n:
         raise ValueError(f"sample length {values.size} does not match n = {params.n}")
-    whitened = whiten(values, params.rho)
-    mean, bessel = _mean_and_bessel_variance(whitened)
-    if bessel == 0.0:
-        raise DegenerateSampleError(
-            "whitened sample variance is zero; modified t-statistic undefined"
-        )
-    value = math.sqrt(params.n) * (mean - params.mu) / math.sqrt(bessel)
-    return TStatResult(
-        value, mean, bessel, StatKind.MODIFIED, whitened_mean=whitened_mean(params)
+    return _single_path(
+        whiten(values, params.rho),
+        params.mu,
+        StatKind.MODIFIED,
+        "whitened sample variance is zero; modified t-statistic undefined",
+        whitened_mean(params),
     )

@@ -23,6 +23,7 @@ from .matrices import (
     precision_matrix,
     whitening_matrix,
 )
+from .moments import MomentQuantity
 from .params import Ar1Params
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
     "SMALL_RHO_GRID",
     "IdentityCheck",
     "VerificationReport",
+    "moment_grid",
     "run_verification",
 ]
 
@@ -55,6 +57,18 @@ _TOLERANCES = {
     "mean_covariance_square_sum_matches_oracle": 1e-12,
     "sample_variance_mean_matches_oracle": 1e-12,
 }
+
+
+# checks read straight off the grid evaluator's closed-form-vs-oracle reports
+_ORACLE_CHECKS = {
+    "scaled_mean_variance_matches_oracle": MomentQuantity.SCALED_MEAN_VARIANCE,
+    "mean_covariance_square_sum_matches_oracle": MomentQuantity.MEAN_COVARIANCE_SQUARE_SUM,
+    "sample_variance_mean_matches_oracle": MomentQuantity.SAMPLE_VARIANCE_MEAN,
+}
+_FOURTH_MOMENT = (
+    MomentQuantity.SAMPLE_VARIANCE_SECOND_MOMENT,
+    MomentQuantity.SAMPLE_VARIANCE_VARIANCE,
+)
 
 
 @dataclass(frozen=True)
@@ -140,7 +154,7 @@ def _matrix_gaps(params: Ar1Params) -> dict[str, float]:
     }
 
 
-def _scalar_gaps(params: Ar1Params) -> dict[str, float]:
+def _scalar_gaps(params: Ar1Params, reports: dict) -> dict[str, float]:
     form_a = moments.variance_of_scaled_mean(params)
     form_b = moments.variance_of_scaled_mean_regrouped(params)
     profile = oracle.mean_covariance_profile(params)
@@ -148,22 +162,27 @@ def _scalar_gaps(params: Ar1Params) -> dict[str, float]:
         moments.covariance_with_mean(params, j) for j in range(1, params.n + 1)
     ]
     per_j = max(_rel_gap(c, float(o)) for c, o in zip(closed_profile, profile))
-    total_closed = moments.covariance_with_mean_total(params)
+    total_closed = reports[MomentQuantity.MEAN_COVARIANCE_TOTAL].closed_form
     summed = math.fsum(closed_profile)
     return {
         "scaled_mean_variance_forms_agree": _rel_gap(form_a, form_b),
-        "scaled_mean_variance_matches_oracle": moments.compare_moment(
-            moments.MomentQuantity.SCALED_MEAN_VARIANCE, params
-        ).rel_gap,
         "mean_covariance_matches_oracle": per_j,
         "mean_covariance_sum_is_total": _rel_gap(summed, total_closed),
-        "mean_covariance_square_sum_matches_oracle": moments.compare_moment(
-            moments.MomentQuantity.MEAN_COVARIANCE_SQUARE_SUM, params
-        ).rel_gap,
-        "sample_variance_mean_matches_oracle": moments.compare_moment(
-            moments.MomentQuantity.SAMPLE_VARIANCE_MEAN, params
-        ).rel_gap,
+        **{name: reports[q].rel_gap for name, q in _ORACLE_CHECKS.items()},
     }
+
+
+def moment_grid(n_grid, rho_grid, sigma: float):
+    """Closed form against oracle at every (n, rho) point, n-major.
+
+    The one grid evaluator behind ``table-moments`` and
+    ``run_verification``. Yields ``(params, {quantity: MomentReport})``
+    with mu = 0, one report per quantity of ``moments.compare_all``.
+    """
+    for n in n_grid:
+        for rho in rho_grid:
+            params = Ar1Params(mu=0.0, sigma=sigma, rho=rho, n=n)
+            yield params, {r.quantity: r for r in moments.compare_all(params)}
 
 
 def run_verification(
@@ -191,22 +210,13 @@ def run_verification(
         name: (-1.0, 0, 0.0) for name in _TOLERANCES
     }
     flagged: list[moments.MomentReport] = []
-    fourth_moment = (
-        moments.MomentQuantity.SAMPLE_VARIANCE_SECOND_MOMENT,
-        moments.MomentQuantity.SAMPLE_VARIANCE_VARIANCE,
-    )
-    for n in n_grid:
-        for rho in rho_grid:
-            params = Ar1Params(mu=0.0, sigma=sigma, rho=rho, n=n)
-            gaps = _matrix_gaps(params)
-            gaps.update(_scalar_gaps(params))
-            for name, gap in gaps.items():
-                if gap > worst[name][0]:
-                    worst[name] = (gap, n, rho)
-            for quantity in fourth_moment:
-                report = moments.compare_moment(quantity, params)
-                if report.discrepant:
-                    flagged.append(report)
+    for params, reports in moment_grid(n_grid, rho_grid, sigma):
+        gaps = _matrix_gaps(params)
+        gaps.update(_scalar_gaps(params, reports))
+        for name, gap in gaps.items():
+            if gap > worst[name][0]:
+                worst[name] = (gap, params.n, params.rho)
+        flagged.extend(reports[q] for q in _FOURTH_MOMENT if reports[q].discrepant)
     checks = []
     for name, tolerance in _TOLERANCES.items():
         if tolerance_override is not None:

@@ -48,10 +48,15 @@ def test_engine_matches_scalar_statistics_bitwise():
     cfg = _config(2 * BLOCK_SIZE + 100, mu=0.4, rho=0.6)
     t_vals = simulate_functional(cfg, Functional.T_STAT)
     mt_vals = simulate_functional(cfg, Functional.MODIFIED_T_STAT)
+    means = simulate_functional(cfg, Functional.SAMPLE_MEAN)
+    variances = simulate_functional(cfg, Functional.SAMPLE_VARIANCE)
     for block in (0, 1, 2):
         path = simulate_path(cfg.params, seed=cfg.seed, stream=block)
-        assert t_vals[block * BLOCK_SIZE] == t_statistic(path, mu=0.4).value
+        classical = t_statistic(path, mu=0.4)
+        assert t_vals[block * BLOCK_SIZE] == classical.value
         assert mt_vals[block * BLOCK_SIZE] == modified_t_statistic(path).value
+        assert means[block * BLOCK_SIZE] == classical.sample_mean
+        assert variances[block * BLOCK_SIZE] == classical.bessel_variance
 
 
 def test_worker_count_never_changes_results():
@@ -157,8 +162,13 @@ def test_ks_test_drops_non_finite():
 
 
 def test_ks_test_rejects_broken_cdf():
-    with pytest.raises(ValueError):
-        ks_test(np.array([0.0, 1.0, 2.0]), lambda x: np.asarray(x) * 10.0)
+    broken = (
+        lambda x: np.asarray(x) * 10.0,  # not a probability
+        lambda x: 0.5,  # scalar-only: wrong shape
+    )
+    for cdf in broken:
+        with pytest.raises(ValueError):
+            ks_test(np.array([0.0, 1.0, 2.0]), cdf)
 
 
 def test_silverman_bandwidth():

@@ -203,3 +203,21 @@ def test_cached_covariance_is_read_only():
     cov = oracle._covariance_extended(Ar1Params(mu=0.0, sigma=1.0, rho=0.3, n=4))
     with pytest.raises(ValueError):
         cov[0, 0] = 0.0
+
+
+def test_grid_point_builds_mean_covariance_profile_once():
+    mean_covariance_profile.cache_clear()
+    run_verification(n_grid=[5, 10], rho_grid=[0.5, -0.9])
+    info = mean_covariance_profile.cache_info()
+    assert info.misses == 4
+    assert info.hits > 0
+    # the per-coordinate oracle reads the cached profile
+    p = Ar1Params(mu=0.0, sigma=1.0, rho=-0.9, n=10)
+    assert covariance_with_mean(p, 3) == mean_covariance_profile(p)[2]
+    assert mean_covariance_profile.cache_info().misses == 4
+
+
+def test_cached_profile_is_read_only():
+    profile = mean_covariance_profile(Ar1Params(mu=0.0, sigma=1.0, rho=0.3, n=4))
+    with pytest.raises(ValueError):
+        profile[0] = 0.0

@@ -3,9 +3,13 @@ import json
 import pytest
 
 from ar1_tstat import (
+    Ar1Params,
     IdentityCheck,
     MomentQuantity,
     VerificationReport,
+    compare_moment,
+    moments,
+    oracle,
     run_verification,
 )
 from ar1_tstat.verification import (
@@ -96,3 +100,31 @@ def test_sigma_propagates():
     report = run_verification(n_grid=(4,), rho_grid=(0.3,), sigma=2.5)
     assert report.sigma == 2.5
     assert report.passed
+
+
+def test_moment_routes_look_up_functions_at_call_time(monkeypatch):
+    """Swapping a module attribute reaches every route that evaluates it.
+
+    Call-time tracing (swapping module attributes) relies on this; a
+    dispatch table bound at import would keep calling the originals.
+    """
+    calls = []
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(oracle, "form_variance")
+    spy(moments, "mean_of_sample_variance")
+    p = Ar1Params(mu=0.0, sigma=1.0, rho=0.5, n=5)
+    compare_moment(MomentQuantity.SAMPLE_VARIANCE_VARIANCE, p)
+    compare_moment(MomentQuantity.SAMPLE_VARIANCE_MEAN, p)
+    assert calls == ["form_variance", "mean_of_sample_variance"]
+    calls.clear()
+    run_verification(n_grid=[3, 5], rho_grid=[0.5])
+    assert sorted(calls) == ["form_variance"] * 2 + ["mean_of_sample_variance"] * 2
