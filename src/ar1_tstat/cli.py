@@ -376,7 +376,7 @@ def _add_run_flags(parser: argparse.ArgumentParser, required: bool) -> None:
     )
 
 
-def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ar1-tstat",
         description="Moments, whitening, and Monte Carlo checks for the AR(1) t-statistic.",
@@ -443,28 +443,22 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     density.add_argument("--out", required=True, help="CSV output path")
     density.set_defaults(handler=cmd_density)
 
-    if config_defaults:
-        normalized = {
-            str(key).replace("-", "_"): value for key, value in config_defaults.items()
-        }
-        for sub in (table, verify, simulate, density):
-            dests = {action.dest for action in sub._actions}
-            sub.set_defaults(**{k: v for k, v in normalized.items() if k in dests})
-            # a config-supplied value satisfies a required flag
-            for action in sub._actions:
-                if action.required and action.dest in normalized:
-                    action.required = False
+    # a config key is read as the exact flag it names, never as an
+    # abbreviation of another one ("grid" is no "--grid-t")
+    for sub in (table, verify, simulate, density):
+        sub.allow_abbrev = False
     return parser
 
 
-def _load_config(path: str | None) -> dict:
+def _config_flags(path: str | None) -> list[str]:
+    """The config file's non-null entries as '--key=value' flags."""
     if path is None:
-        return {}
+        return []
     with open(path) as handle:
         loaded = json.load(handle)
     if not isinstance(loaded, dict):
         raise ValueError("config file must hold a JSON object of flag defaults")
-    return loaded
+    return [f"--{str(k).replace('_', '-')}={v}" for k, v in loaded.items() if v is not None]
 
 
 _NEGATIVE_VALUE = re.compile(r"^-[\d.]")
@@ -477,20 +471,10 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
     after a long flag can only be that flag's value.
     """
     merged: list[str] = []
-    skip = False
-    for i, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if (
-            token.startswith("--")
-            and "=" not in token
-            and nxt is not None
-            and _NEGATIVE_VALUE.match(nxt)
-        ):
-            merged.append(f"{token}={nxt}")
-            skip = True
+    for token in argv:
+        last = merged[-1] if merged else ""
+        if last.startswith("--") and "=" not in last and _NEGATIVE_VALUE.match(token):
+            merged[-1] = f"{last}={token}"
         else:
             merged.append(token)
     return merged
@@ -501,15 +485,20 @@ def main(argv=None) -> int:
     parse_argv = _merge_negative_values(argv)
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config", default=None)
-    known, _ = pre.parse_known_args(parse_argv)
+    known, rest = pre.parse_known_args(parse_argv)
     try:
-        config = _load_config(known.config)
-        parser = build_parser(config)
+        injected = _config_flags(known.config)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # config flags go right after the subcommand, so explicit flags win; the
+    # ones the subcommand lacks come back unparsed and are dropped
+    parser = build_parser()
     try:
-        args = parser.parse_args(parse_argv)
+        args, leftover = parser.parse_known_args(rest[:1] + injected + rest[1:])
+        unknown = [token for token in leftover if token not in injected]
+        if unknown:
+            parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -1,4 +1,4 @@
-"""End-to-end CLI behavior through main(); only the import check spawns a process."""
+"""End-to-end CLI behavior through main(); only the scipy checks spawn a process."""
 
 import concurrent.futures.process
 import csv
@@ -334,6 +334,28 @@ def test_cli_import_does_not_load_scipy():
     assert out.stdout.strip() == "False"
 
 
+def test_heavy_tailed_tstat_run_does_not_load_scipy(tmp_path):
+    # n=2 at rho=0.9 gives |t| far beyond 30, so the KS test reaches the
+    # tail side of the Student cdf
+    src = str(Path(ar1_tstat.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out, vals = tmp_path / "sim.csv", tmp_path / "vals.csv"
+    argv = [
+        "simulate", "--functional", "tstat", "--n", "2", "--rho", "0.9",
+        "--reps", "5000", "--seed", "7", "--out", str(out), "--values-out", str(vals),
+    ]
+    probe = (
+        "import sys; from ar1_tstat.cli import main; "
+        f"rc = main({argv!r}); print(rc, 'scipy' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.split() == ["0", "False"]
+    values = np.array([float(v) for v in vals.read_text().splitlines()[1:]])
+    assert np.nanmax(np.abs(values)) > 30.0
+
+
 # -- density ------------------------------------------------------------------
 
 
@@ -427,6 +449,42 @@ def test_config_must_be_json_object(tmp_path, capsys):
 
 def test_missing_config_file(tmp_path):
     rc = main(["--config", str(tmp_path / "nope.json"), "verify", "--out", "x"])
+    assert rc == 2
+
+
+def test_config_key_the_subcommand_lacks_is_ignored(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"reps": 5, "grid": "small"}))
+    assert main(["--config", str(cfg), "verify", "--out", str(tmp_path / "v.json")]) == 0
+    # "grid" is not read as an abbreviation of --grid-n/--grid-rho
+    out = tmp_path / "t.csv"
+    argv = ["table-moments", "--grid-n", "2", "--grid-rho", "0.1", "--out", str(out)]
+    assert main(["--config", str(cfg), *argv]) == 0
+
+
+def test_config_values_are_converted_like_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"reps": "1200", "seed": 44}))
+    out = tmp_path / "sim.csv"
+    rc = main(
+        [
+            "--config", str(cfg), "simulate", "--functional", "mean",
+            "--n", "4", "--rho", "0.1", "--out", str(out),
+        ]
+    )
+    assert rc == 0
+    assert _read_rows(out)[0]["replications"] == "1200"
+
+
+def test_config_value_is_validated_like_a_flag(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"functional": "bogus"}))
+    rc = main(
+        [
+            "--config", str(cfg), "simulate", "--n", "4", "--rho", "0.1",
+            "--reps", "10", "--seed", "1", "--out", str(tmp_path / "sim.csv"),
+        ]
+    )
     assert rc == 2
 
 

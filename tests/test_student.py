@@ -1,7 +1,10 @@
 """Student t law: closed-form density, independent quadrature route, CDF."""
 
+import hashlib
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -79,7 +82,8 @@ def test_cdf_scalar_values():
     assert law.cdf(float("inf")) == 1.0
     assert law.cdf(float("-inf")) == 0.0
     assert law.cdf(1.5) == pytest.approx(stats.t.cdf(1.5, 9.0), rel=1e-10)
-    assert law.cdf(-31.0) == pytest.approx(stats.t.cdf(-31.0, 9.0), rel=1e-8)
+    # the tail value is 9.3e-11: a relative check needs abs=0
+    assert law.cdf(-31.0) == pytest.approx(stats.t.cdf(-31.0, 9.0), rel=1e-12, abs=0.0)
 
 
 def test_cdf_reflection():
@@ -96,12 +100,75 @@ def test_cdf_rejects_nan():
         law.cdf(np.array([0.0, float("nan")]))
 
 
-def test_cdf_batch_matches_scalar():
+def test_cdf_scalar_is_one_element_array():
     law = StudentLaw(9.0)
-    pts = np.array([-35.0, -4.2, -1.0, -0.25, 0.0, 0.6, 2.0, 31.5])
-    batch = law.cdf(pts)
-    scal = np.array([law.cdf(float(t)) for t in pts])
-    assert np.max(np.abs(batch - scal)) < 1e-10
+    for t in (-35.0, -4.2, -1.0, -0.25, 0.0, 0.6, 2.0, 30.0, 31.5, 1e9):
+        value = law.cdf(t)
+        assert type(value) is float
+        assert value == law.cdf(np.array([t]))[0]
+
+
+# SHA-256 of StudentLaw(k).cdf(linspace(-30, 30, 2001)).tobytes(), taken from
+# the earlier route with separate scalar and array paths: the head of the one
+# route (|t| <= 30) keeps its arithmetic bit for bit.
+PINNED_HEAD_DIGESTS = {
+    1: "960ba11f9b3639a9e5c5cc90f01486a08c13f570ff4816ad12710142a59a5a85",
+    9: "a5406474ba5118a4f8e75e7ed4b503b4360d5acaf61e82eb0de511aad1ee7153",
+    999: "4354e7d720eb6bd384ee6cde6b827be863d178f7da5fef67c78e141a46f3f38b",
+}
+
+
+@pytest.mark.parametrize("dof", sorted(PINNED_HEAD_DIGESTS))
+def test_cdf_head_is_pinned(dof):
+    grid = np.linspace(-30.0, 30.0, 2001)
+    assert grid[0] == -30.0 and grid[-1] == 30.0
+    digest = hashlib.sha256(StudentLaw(dof).cdf(grid).tobytes()).hexdigest()
+    assert digest == PINNED_HEAD_DIGESTS[dof]
+
+
+TAIL_DOFS = [0.3, 1.0, 2.0, 4.5, 9.0, 30.0, 99.0, 500.0, 999.0]
+TAIL_POINTS = np.array([-30.5, -31.0, -45.0, -100.0, -1e3, -1e4, -1e6, -1e8])
+
+
+def _reference_tail(dof, t):
+    # P(T < -|t|) = I_{k/(k+t^2)}(k/2, 1/2) / 2 at 50 digits
+    with mpmath.workdps(50):
+        k, t = mpmath.mpf(dof), mpmath.mpf(t)
+        return 0.5 * mpmath.betainc(k / 2, 0.5, 0, k / (k + t * t), regularized=True)
+
+
+@pytest.mark.parametrize("dof", TAIL_DOFS)
+def test_cdf_tail_relative_accuracy(dof):
+    law = StudentLaw(dof)
+    got = law.cdf(TAIL_POINTS)
+    checked = 0
+    for t, value in zip(TAIL_POINTS, got):
+        ref = _reference_tail(dof, t)
+        if ref >= mpmath.mpf("1e-300"):
+            assert abs(value - ref) <= 1e-12 * ref, (t, value, ref)
+            checked += 1
+    assert checked >= 3
+    assert np.all(np.abs(got + law.cdf(-TAIL_POINTS) - 1.0) <= 1e-15)
+
+
+def test_cdf_tail_memory_does_not_grow_with_t():
+    law = StudentLaw(1.0)
+    tracemalloc.start()
+    try:
+        values = law.cdf(np.array([-1e8, 1e8]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    assert values[0] == pytest.approx(1.0 / (math.pi * 1e8), rel=1e-12)
+
+
+def test_cdf_infinite_and_huge_arguments():
+    law = StudentLaw(1.0)
+    assert law.cdf(float("-inf")) == 0.0 and law.cdf(float("inf")) == 1.0
+    # Cauchy: P(T < -t) = atan(1/t)/pi, beyond the reach of t*t in float64
+    for t in (1e10, 1e200, 1.7e308):
+        assert law.cdf(-t) == pytest.approx(math.atan(1.0 / t) / math.pi, rel=1e-12, abs=0.0)
 
 
 def test_cdf_batch_against_scipy_dense():
