@@ -3,8 +3,9 @@
 Every subcommand writes its primary output to --out plus a JSON manifest at
 <out>.manifest.json recording the invocation. Outputs embed nothing
 time- or host-dependent, so a rerun with the same arguments is
-byte-identical; the manifest (which carries a timestamp) is the only file
-that differs. Exit codes: 0 success, 1 verification failure, 2 usage or
+byte-identical; the manifest (which carries a timestamp, the environment,
+the wall time of each phase and the peak RSS) is the only file that
+differs. Exit codes: 0 success, 1 verification failure, 2 usage or
 validation error, or a run that could not finish (failed quadrature, broken
 worker pool, out of memory).
 """
@@ -13,18 +14,21 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import json
 import math
 import os
 import re
 import sys
+import time
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__
 from .montecarlo import (
+    BLOCK_SIZE,
     Functional,
     SimulationConfig,
     empirical_density,
@@ -42,6 +46,11 @@ from .verification import (
     moment_grid,
     run_verification,
 )
+
+try:
+    import resource
+except ImportError:  # Windows
+    resource = None
 
 __all__ = ["main", "entrypoint"]
 
@@ -132,26 +141,62 @@ def _parse_grid(text: str, integer: bool = False) -> list:
     return values
 
 
+@contextlib.contextmanager
+def _phase(phases: dict[str, float], name: str):
+    """Add the wall seconds of the with-block to phases[name]."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        phases[name] = phases.get(name, 0.0) + time.perf_counter() - start
+
+
+def _environment(config: SimulationConfig | None) -> dict:
+    # scipy's version only if this run loaded it: looking it up must not load it
+    env = {
+        "numpy": np.__version__,
+        "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
+        "longdouble_eps": float(np.finfo(np.longdouble).eps),
+    }
+    if config is not None:
+        env["workers"] = config.workers
+        env["philox_blocks"] = -(-config.replications // BLOCK_SIZE)
+    return env
+
+
+def _peak_rss_mb() -> dict | None:
+    """Peak RSS of this process and of its reaped children (pool workers)."""
+    if resource is None:
+        return None
+    scale = 2**20 if sys.platform == "darwin" else 2**10  # ru_maxrss: bytes or KiB
+    return {
+        who: resource.getrusage(flag).ru_maxrss / scale
+        for who, flag in (("self", resource.RUSAGE_SELF), ("children", resource.RUSAGE_CHILDREN))
+    }
+
+
 def _write_manifest(
     out_path: str,
     command: str,
     argv: list[str],
     outputs: list[str],
-    params: Ar1Params | None = None,
-    seed: int | None = None,
-    replications: int | None = None,
+    phases: dict[str, float],
+    config: SimulationConfig | None = None,
 ) -> str:
+    params = None if config is None else config.params
     manifest = {
         "command": command,
         "params": None
         if params is None
         else {"mu": params.mu, "sigma": params.sigma, "rho": params.rho, "n": params.n},
-        "seed": seed,
-        "replications": replications,
+        "seed": None if config is None else config.seed,
+        "replications": None if config is None else config.replications,
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "outputs": list(outputs),
         "argv": list(argv),
+        "environment": _environment(config),
+        "run": {"wall_s": dict(phases), "peak_rss_mb": _peak_rss_mb()},
     }
     path = f"{out_path}.manifest.json"
     with open(path, "w") as handle:
@@ -186,18 +231,21 @@ def cmd_table_moments(args, argv) -> int:
         "var_s2": MomentQuantity.SAMPLE_VARIANCE_VARIANCE,
     }
     rows = []
-    for params, reports in moment_grid(n_grid, rho_grid, sigma):
-        row = {"n": params.n, "rho": params.rho, "sigma": sigma}
-        for prefix, quantity in quantities.items():
-            row[f"{prefix}_closed"] = reports[quantity].closed_form
-            row[f"{prefix}_oracle"] = reports[quantity].oracle
-        # the flag and the gap cover the tabulated columns only
-        shown = [reports[q] for q in quantities.values()]
-        row["max_rel_gap"] = max(0.0, *(r.rel_gap for r in shown))
-        row["discrepancy_flag"] = int(any(r.discrepant for r in shown))
-        rows.append(row)
-    _write_csv(args.out, _TABLE_COLUMNS, rows)
-    _write_manifest(args.out, "table-moments", argv, [args.out])
+    phases: dict[str, float] = {}
+    with _phase(phases, "grid"):
+        for params, reports in moment_grid(n_grid, rho_grid, sigma):
+            row = {"n": params.n, "rho": params.rho, "sigma": sigma}
+            for prefix, quantity in quantities.items():
+                row[f"{prefix}_closed"] = reports[quantity].closed_form
+                row[f"{prefix}_oracle"] = reports[quantity].oracle
+            # the flag and the gap cover the tabulated columns only
+            shown = [reports[q] for q in quantities.values()]
+            row["max_rel_gap"] = max(0.0, *(r.rel_gap for r in shown))
+            row["discrepancy_flag"] = int(any(r.discrepant for r in shown))
+            rows.append(row)
+    with _phase(phases, "write"):
+        _write_csv(args.out, _TABLE_COLUMNS, rows)
+    _write_manifest(args.out, "table-moments", argv, [args.out], phases)
     return 0
 
 
@@ -210,12 +258,14 @@ def cmd_verify(args, argv) -> int:
         n_grid = _parse_grid(args.grid_n, integer=True)
     if args.grid_rho is not None:
         rho_grid = _parse_grid(args.grid_rho)
-    report = run_verification(
-        n_grid=n_grid,
-        rho_grid=rho_grid,
-        sigma=float(args.sigma),
-        tolerance_override=args.tol,
-    )
+    phases: dict[str, float] = {}
+    with _phase(phases, "grid"):
+        report = run_verification(
+            n_grid=n_grid,
+            rho_grid=rho_grid,
+            sigma=float(args.sigma),
+            tolerance_override=args.tol,
+        )
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         print(
@@ -226,10 +276,10 @@ def cmd_verify(args, argv) -> int:
         f"{len(report.discrepancies)} fourth-moment grid points flagged "
         "against the trace oracle (reported, non-fatal)"
     )
-    with open(args.out, "w") as handle:
+    with _phase(phases, "write"), open(args.out, "w") as handle:
         json.dump(report.as_dict(), handle, indent=2)
         handle.write("\n")
-    _write_manifest(args.out, "verify", argv, [args.out])
+    _write_manifest(args.out, "verify", argv, [args.out], phases)
     return 0 if report.passed else 1
 
 
@@ -251,7 +301,9 @@ def _reference_cdf(functional: Functional, params: Ar1Params):
     return None, ""
 
 
-def _simulate(args) -> tuple[SimulationConfig, Functional, np.ndarray]:
+def _simulate(
+    args, phases: dict[str, float]
+) -> tuple[SimulationConfig, Functional, np.ndarray]:
     """Run the functional named by the model and run flags."""
     params = Ar1Params(mu=args.mu, sigma=args.sigma, rho=args.rho, n=args.n)
     config = SimulationConfig(
@@ -261,23 +313,27 @@ def _simulate(args) -> tuple[SimulationConfig, Functional, np.ndarray]:
         workers=_resolve_workers(args),
     )
     functional = Functional(args.functional)
-    return config, functional, simulate_functional(config, functional)
+    with _phase(phases, "simulate"):
+        values = simulate_functional(config, functional)
+    return config, functional, values
 
 
 def cmd_simulate(args, argv) -> int:
-    config, functional, values = _simulate(args)
+    phases: dict[str, float] = {}
+    config, functional, values = _simulate(args, phases)
     params = config.params
-    summary = summarize(values)
+    with _phase(phases, "summarize"):
+        summary = summarize(values)
+    ks_fields = {"ks_statistic": None, "ks_p_value": None, "ks_reference": None}
     cdf, reference = _reference_cdf(functional, params)
     if cdf is not None:
-        ks = ks_test(values, cdf, reference=reference)
+        with _phase(phases, "ks"):
+            ks = ks_test(values, cdf, reference=reference)
         ks_fields = {
             "ks_statistic": ks.statistic,
             "ks_p_value": ks.p_value,
             "ks_reference": ks.reference,
         }
-    else:
-        ks_fields = {"ks_statistic": None, "ks_p_value": None, "ks_reference": None}
     row = {
         "functional": functional.value,
         "n": params.n,
@@ -295,24 +351,17 @@ def cmd_simulate(args, argv) -> int:
         **ks_fields,
     }
     outputs = [args.out]
-    if args.format == "json":
-        with open(args.out, "w") as handle:
-            json.dump(row, handle, indent=2)
-            handle.write("\n")
-    else:
-        _write_csv(args.out, _SUMMARY_COLUMNS, [row])
-    if args.values_out:
-        _write_csv(args.values_out, ["value"], [{"value": float(v)} for v in values])
-        outputs.append(args.values_out)
-    _write_manifest(
-        args.out,
-        "simulate",
-        argv,
-        outputs,
-        params=params,
-        seed=config.seed,
-        replications=config.replications,
-    )
+    with _phase(phases, "write"):
+        if args.format == "json":
+            with open(args.out, "w") as handle:
+                json.dump(row, handle, indent=2)
+                handle.write("\n")
+        else:
+            _write_csv(args.out, _SUMMARY_COLUMNS, [row])
+        if args.values_out:
+            _write_csv(args.values_out, ["value"], [{"value": float(v)} for v in values])
+            outputs.append(args.values_out)
+    _write_manifest(args.out, "simulate", argv, outputs, phases, config)
     return 0
 
 
@@ -320,16 +369,18 @@ def cmd_density(args, argv) -> int:
     if (args.dof is None) == (args.functional is None):
         raise ValueError("give exactly one of --dof (law mode) or --functional (simulation mode)")
     grid = np.asarray(_parse_grid(args.grid_t), dtype=float)
+    phases: dict[str, float] = {}
+    config = None
     if args.dof is not None:
         law = StudentLaw(args.dof)
-        closed = np.asarray(law.density_closed(grid), dtype=float)
-        integral = np.asarray(law.density_integral(grid), dtype=float)
+        with _phase(phases, "density"):
+            closed = np.asarray(law.density_closed(grid), dtype=float)
+            integral = np.asarray(law.density_integral(grid), dtype=float)
         rows = [
             {"t": float(t), "pdf_closed": float(c), "pdf_integral": float(i)}
             for t, c, i in zip(grid, closed, integral)
         ]
         columns = ["t", "pdf_closed", "pdf_integral"]
-        params = seed = reps = None
     else:
         missing = [
             flag
@@ -343,15 +394,14 @@ def cmd_density(args, argv) -> int:
         ]
         if missing:
             raise ValueError(f"simulation mode needs {', '.join(missing)}")
-        config, _, values = _simulate(args)
-        kde = empirical_density(values, grid, bandwidth=args.bandwidth)
+        config, _, values = _simulate(args, phases)
+        with _phase(phases, "kde"):
+            kde = empirical_density(values, grid, bandwidth=args.bandwidth)
         rows = [{"t": float(t), "kde": float(d)} for t, d in zip(grid, kde)]
         columns = ["t", "kde"]
-        params, seed, reps = config.params, config.seed, config.replications
-    _write_csv(args.out, columns, rows)
-    _write_manifest(
-        args.out, "density", argv, [args.out], params=params, seed=seed, replications=reps
-    )
+    with _phase(phases, "write"):
+        _write_csv(args.out, columns, rows)
+    _write_manifest(args.out, "density", argv, [args.out], phases, config)
     return 0
 
 

@@ -20,6 +20,9 @@ __all__ = ["StudentLaw", "QuadratureError"]
 # Gauss-Legendre rule of the cdf panels (at most 0.5 wide in t, 1 wide in y)
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 _PANEL_WIDTH = 0.5
+# panels evaluated per chunk: 4,096 x 24 nodes are 0.8 MB, so the density's
+# temporaries stay small however many panels a cdf call needs
+_PANEL_CHUNK = 4096
 # the cdf integrates from 0 up to |t| = 30 (absolute error <= 1e-14) and the
 # tail side beyond it (relative error <= 1e-12); past |t| = 1e8 the tail
 # scales as sf(M) (M/|t|)^dof, exact to dof^2/M^2 where sf(M) > 0
@@ -48,11 +51,21 @@ def _quad(func, lo, hi, epsabs, epsrel):
 
 
 def _panel_integrals(func, edges: np.ndarray) -> np.ndarray:
-    """Gauss-Legendre integral of func over each panel between sorted edges."""
+    """Gauss-Legendre integral of func over each panel between sorted edges.
+
+    The panels are evaluated _PANEL_CHUNK (4,096) at a time into one result
+    array, so memory is bounded in the number of panels; each panel's
+    arithmetic is that of a single pass over all of them, bit for bit.
+    """
     lo, hi = edges[:-1], edges[1:]
     half_width = 0.5 * (hi - lo)
-    nodes = (0.5 * (lo + hi))[:, None] + half_width[:, None] * _GL_NODES[None, :]
-    return (func(nodes) @ _GL_WEIGHTS) * half_width
+    mid = 0.5 * (lo + hi)
+    out = np.empty(half_width.shape)
+    for start in range(0, out.size, _PANEL_CHUNK):
+        part = slice(start, start + _PANEL_CHUNK)
+        nodes = mid[part, None] + half_width[part, None] * _GL_NODES[None, :]
+        out[part] = (func(nodes) @ _GL_WEIGHTS) * half_width[part]
+    return out
 
 
 @dataclass(frozen=True)
@@ -155,9 +168,12 @@ class StudentLaw:
 
         One route for scalars (returned as float) and arrays: 0.5 +- one
         cumulative panel sum from 0 up to |t| = 30, and beyond it the tail
-        summed from the top down in y = (k+1)/2 log1p(t^2/k), so memory does
-        not grow with |t|. The bounds at _TAIL_SPLIT assume density_closed
-        exact; its log-gamma normalisation is 2e-13 off at dof 999.
+        summed from the top down in y = (k+1)/2 log1p(t^2/k). The panels are
+        evaluated in chunks of 4,096 (_panel_integrals), so memory grows
+        neither with |t| nor beyond a few arrays of the argument's size with
+        the number of arguments. The bounds at _TAIL_SPLIT assume
+        density_closed exact; its log-gamma normalisation is 2e-13 off at
+        dof 999.
         """
         ts = np.asarray(t, dtype=float)
         flat = ts.ravel()

@@ -354,6 +354,9 @@ def test_heavy_tailed_tstat_run_does_not_load_scipy(tmp_path):
     assert result.stdout.split() == ["0", "False"]
     values = np.array([float(v) for v in vals.read_text().splitlines()[1:]])
     assert np.nanmax(np.abs(values)) > 30.0
+    # the manifest names scipy only when the run loaded it
+    manifest = json.loads((tmp_path / "sim.csv.manifest.json").read_text())
+    assert manifest["environment"]["scipy"] is None
 
 
 # -- density ------------------------------------------------------------------
@@ -499,3 +502,40 @@ def test_manifest_records_argv(tmp_path):
     assert manifest["argv"] == argv
     assert manifest["tool_version"]
     assert manifest["timestamp"]
+    env = manifest["environment"]
+    assert env["numpy"] == np.__version__
+    assert env["longdouble_eps"] == float(np.finfo(np.longdouble).eps)
+    assert "workers" not in env and "philox_blocks" not in env
+    assert set(manifest["run"]["wall_s"]) == {"grid", "write"}
+    peak = manifest["run"]["peak_rss_mb"]
+    assert peak["self"] > 0.0 and peak["children"] >= 0.0
+
+
+def test_manifest_records_simulation_telemetry(tmp_path):
+    import scipy
+
+    out = tmp_path / "sim.csv"
+    argv = [
+        "simulate", "--functional", "mean", "--n", "4", "--rho", "0.3",
+        "--reps", str(2 * BLOCK_SIZE + 1), "--seed", "5", "--workers", "2", "--out", str(out),
+    ]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "sim.csv.manifest.json").read_text())
+    env = manifest["environment"]
+    assert env["scipy"] == scipy.__version__
+    assert (env["workers"], env["philox_blocks"]) == (2, 3)
+    wall = manifest["run"]["wall_s"]
+    assert list(wall) == ["simulate", "summarize", "ks", "write"]
+    assert all(seconds >= 0.0 for seconds in wall.values())
+    # the pool workers are reaped children of this process
+    assert manifest["run"]["peak_rss_mb"]["children"] > 0.0
+
+    out = tmp_path / "kde.csv"
+    argv = [
+        "density", "--functional", "s2", "--n", "4", "--rho", "0.3", "--reps", "500",
+        "--seed", "5", "--grid-t=0:2:0.5", "--out", str(out),
+    ]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "kde.csv.manifest.json").read_text())
+    assert (manifest["environment"]["workers"], manifest["environment"]["philox_blocks"]) == (1, 1)
+    assert list(manifest["run"]["wall_s"]) == ["simulate", "kde", "write"]

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from ar1_tstat import QuadratureError, StudentLaw
+from ar1_tstat import QuadratureError, StudentLaw, student
+from ar1_tstat.student import _GL_NODES, _GL_WEIGHTS, _PANEL_CHUNK, _panel_integrals
 
 
 @pytest.mark.parametrize("dof", [0.0, -1.0, float("nan"), float("inf")])
@@ -161,6 +162,66 @@ def test_cdf_tail_memory_does_not_grow_with_t():
         tracemalloc.stop()
     assert peak < 10 * 2**20
     assert values[0] == pytest.approx(1.0 / (math.pi * 1e8), rel=1e-12)
+
+
+def test_cdf_memory_does_not_grow_with_argument_count():
+    # the panels are evaluated in chunks: at one pass over all of them this
+    # peak was 771.5 MB (a 192 MB node array and the density's temporaries)
+    t = np.sort(np.random.default_rng(20240).uniform(-8.0, 8.0, 1_000_000))
+    law = StudentLaw(9.0)
+    tracemalloc.start()
+    try:
+        values = law.cdf(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
+    assert np.all(np.diff(values) >= 0.0)
+
+
+def _one_shot_panels(func, edges):
+    # all panels in one node array: the arithmetic every chunk must repeat
+    lo, hi = edges[:-1], edges[1:]
+    half_width = 0.5 * (hi - lo)
+    nodes = (0.5 * (lo + hi))[:, None] + half_width[:, None] * _GL_NODES[None, :]
+    return (func(nodes) @ _GL_WEIGHTS) * half_width
+
+
+@pytest.mark.parametrize(
+    "panels", [_PANEL_CHUNK - 1, _PANEL_CHUNK, _PANEL_CHUNK + 1, 3 * _PANEL_CHUNK + 5]
+)
+def test_chunked_panels_match_one_shot(panels):
+    law = StudentLaw(9.0)
+    ladder = np.arange(panels + 1) * student._PANEL_WIDTH
+    jitter = np.random.default_rng(panels).uniform(0.0, 0.25, panels + 1)
+    edges = np.sort(ladder + jitter) * (30.0 / ladder[-1])
+    calls = []
+
+    def density(nodes):
+        calls.append(nodes.shape[0])
+        return law.density_closed(nodes)
+
+    chunked = _panel_integrals(density, edges)
+    assert calls == [min(_PANEL_CHUNK, panels - start) for start in range(0, panels, _PANEL_CHUNK)]
+    assert np.array_equal(chunked, _one_shot_panels(law.density_closed, edges))
+
+
+def test_cdf_tail_chunks_match_one_shot(monkeypatch):
+    # more distinct magnitudes beyond 30 than one chunk holds, so the tail
+    # integrand runs over several chunks
+    law = StudentLaw(9.0)
+    mags = 30.0 * np.geomspace(1.001, 1e6, 3 * _PANEL_CHUNK + 5)
+    t = np.concatenate((-mags, mags))
+    chunked = law.cdf(t)
+    panels = []
+
+    def one_shot(func, edges):
+        panels.append(edges.size - 1)
+        return _one_shot_panels(func, edges)
+
+    monkeypatch.setattr(student, "_panel_integrals", one_shot)
+    assert np.array_equal(law.cdf(t), chunked)
+    assert len(panels) == 1 and panels[0] > 3 * _PANEL_CHUNK
 
 
 def test_cdf_infinite_and_huge_arguments():
