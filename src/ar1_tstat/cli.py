@@ -4,10 +4,10 @@ Every subcommand writes its primary output to --out plus a JSON manifest at
 <out>.manifest.json recording the invocation. Outputs embed nothing
 time- or host-dependent, so a rerun with the same arguments is
 byte-identical; the manifest (which carries a timestamp, the environment,
-the wall time of each phase and the peak RSS) is the only file that
-differs. Exit codes: 0 success, 1 verification failure, 2 usage or
-validation error, or a run that could not finish (failed quadrature, broken
-worker pool, out of memory).
+the wall time of each phase, the peak RSS and the minor page faults) is the
+only file that differs. Exit codes: 0 success, 1 verification failure, 2
+usage or validation error, or a run that could not finish (failed
+quadrature, broken worker pool, out of memory).
 """
 
 from __future__ import annotations
@@ -164,14 +164,19 @@ def _environment(config: SimulationConfig | None) -> dict:
     return env
 
 
-def _peak_rss_mb() -> dict | None:
-    """Peak RSS of this process and of its reaped children (pool workers)."""
+def _resource_usage() -> dict:
+    """Peak RSS and minor page faults of this process and of its reaped
+    children (pool workers); None where the platform lacks ``resource``."""
     if resource is None:
-        return None
+        return {"peak_rss_mb": None, "minor_faults": None}
     scale = 2**20 if sys.platform == "darwin" else 2**10  # ru_maxrss: bytes or KiB
-    return {
-        who: resource.getrusage(flag).ru_maxrss / scale
+    usage = {
+        who: resource.getrusage(flag)
         for who, flag in (("self", resource.RUSAGE_SELF), ("children", resource.RUSAGE_CHILDREN))
+    }
+    return {
+        "peak_rss_mb": {who: u.ru_maxrss / scale for who, u in usage.items()},
+        "minor_faults": {who: u.ru_minflt for who, u in usage.items()},
     }
 
 
@@ -196,7 +201,7 @@ def _write_manifest(
         "outputs": list(outputs),
         "argv": list(argv),
         "environment": _environment(config),
-        "run": {"wall_s": dict(phases), "peak_rss_mb": _peak_rss_mb()},
+        "run": {"wall_s": dict(phases), **_resource_usage()},
     }
     path = f"{out_path}.manifest.json"
     with open(path, "w") as handle:
@@ -359,7 +364,9 @@ def cmd_simulate(args, argv) -> int:
         else:
             _write_csv(args.out, _SUMMARY_COLUMNS, [row])
         if args.values_out:
-            _write_csv(args.values_out, ["value"], [{"value": float(v)} for v in values])
+            # one joined write; the same bytes as _write_csv's one-column rows
+            with open(args.values_out, "w", newline="") as handle:
+                handle.write("value\n" + "".join(f"{v:.17g}\n" for v in values.tolist()))
             outputs.append(args.values_out)
     _write_manifest(args.out, "simulate", argv, outputs, phases, config)
     return 0

@@ -7,6 +7,12 @@ functional): workers change wall time only, never bits. Row r of block b
 is replication b * BLOCK_SIZE + r, and simulate_path(params, seed,
 stream=b) reproduces row 0 of block b exactly, which makes any single
 replication auditable in isolation.
+
+Each block is streamed through row tiles of about TILE_NORMALS normals:
+the draw, recursion, whitening and statistic kernel run one tile at a
+time in buffers a worker reuses for all its blocks, so memory is bounded
+by the tile, not by BLOCK_SIZE x n. Philox is counter-based, so drawing a
+block tile by tile yields the same normals as one draw of the block.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ __all__ = [
 ]
 
 BLOCK_SIZE = 4096  # replications per stream; fixed so results never depend on workers
+TILE_NORMALS = 2**20  # normals per tile (8 MB): rows per tile are about TILE_NORMALS / n
 
 
 class Functional(enum.Enum):
@@ -100,22 +107,41 @@ def _block_layout(replications: int) -> list[tuple[int, int]]:
     return [(b, min(BLOCK_SIZE, replications - start)) for b, start in enumerate(starts)]
 
 
-def _path_block(params: Ar1Params, seed: int, block: int, rows: int) -> np.ndarray:
-    rng = stream_generator(seed, block)
-    return paths_from_normals(params, rng.standard_normal((rows, params.n)))
+def _path_tiles(params: Ar1Params, seed: int, blocks: list[tuple[int, int]]):
+    """Paths of the given (block, rows) pairs, one tile at a time.
+
+    Yields (offset, paths, spare): offset is the tile's first row counted
+    from the start of the first block, and spare is a free buffer of the
+    tile's shape (the recursion's workspace). Every tile reuses the same
+    two buffers, so both are valid only until the next tile.
+    """
+    n = params.n
+    tile_rows = min(BLOCK_SIZE, max(1, TILE_NORMALS // n))
+    buffer = np.empty((tile_rows, n))
+    workspace = np.empty(tile_rows * n)
+    offset = 0
+    for block, rows in blocks:
+        rng = stream_generator(seed, block)
+        for start in range(0, rows, tile_rows):
+            m = min(tile_rows, rows - start)
+            tile = rng.standard_normal(out=buffer[:m])
+            spare = workspace[: m * n]
+            paths = paths_from_normals(params, tile, out=tile, workspace=spare.reshape(n, m))
+            yield offset, paths, spare.reshape(m, n)
+            offset += m
 
 
-def _functional_block(
-    params: Ar1Params, seed: int, block: int, rows: int, functional: Functional
+def _functional_blocks(
+    params: Ar1Params, seed: int, blocks: list[tuple[int, int]], functional: Functional
 ) -> np.ndarray:
-    paths = _path_block(params, seed, block, rows)
-    if functional is Functional.MODIFIED_T_STAT:
-        paths = whiten(paths, params.rho)
-    means, bessel, values = row_statistics(paths, params.mu)
-    if functional is Functional.SAMPLE_MEAN:
-        return means
-    if functional is Functional.SAMPLE_VARIANCE:
-        return bessel
+    # row_statistics returns (means, bessel variances, t-values)
+    column = {Functional.SAMPLE_MEAN: 0, Functional.SAMPLE_VARIANCE: 1}.get(functional, 2)
+    values = np.empty(sum(rows for _, rows in blocks))
+    for offset, paths, spare in _path_tiles(params, seed, blocks):
+        if functional is Functional.MODIFIED_T_STAT:
+            paths = whiten(paths, params.rho, out=spare)
+        stats = row_statistics(paths, params.mu, overwrite_rows=True)
+        values[offset : offset + len(paths)] = stats[column]
     return values
 
 
@@ -123,31 +149,37 @@ def simulate_functional(config: SimulationConfig, functional: Functional) -> np.
     """Functional value of every replication, in replication order.
 
     Degenerate replications (zero sample variance under a t functional)
-    appear as NaN so positions stay stable across functionals.
+    appear as NaN so positions stay stable across functionals. With more
+    than one worker, each pool process takes one contiguous share of the
+    blocks.
     """
+    params, seed = config.params, config.seed
     blocks = _block_layout(config.replications)
-    if config.workers == 1 or len(blocks) == 1:
-        parts = [
-            _functional_block(config.params, config.seed, b, rows, functional)
-            for b, rows in blocks
-        ]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(config.workers) as pool:
-            parts = list(
-                pool.map(
-                    _functional_block,
-                    *zip(*((config.params, config.seed, b, rows, functional) for b, rows in blocks)),
-                )
+    workers = min(config.workers, len(blocks))
+    if workers == 1:
+        return _functional_blocks(params, seed, blocks, functional)
+    cuts = [len(blocks) * i // workers for i in range(workers + 1)]
+    shares = [blocks[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    with concurrent.futures.ProcessPoolExecutor(workers) as pool:
+        parts = list(
+            pool.map(
+                _functional_blocks,
+                [params] * workers,
+                [seed] * workers,
+                shares,
+                [functional] * workers,
             )
+        )
     return np.concatenate(parts)
 
 
 def sample_paths(config: SimulationConfig) -> np.ndarray:
     """All replication paths as a (replications, n) array, block order."""
     blocks = _block_layout(config.replications)
-    return np.concatenate(
-        [_path_block(config.params, config.seed, b, rows) for b, rows in blocks]
-    )
+    paths = np.empty((config.replications, config.params.n))
+    for offset, tile, _ in _path_tiles(config.params, config.seed, blocks):
+        paths[offset : offset + len(tile)] = tile
+    return paths
 
 
 def summarize(values) -> EmpiricalSummary:

@@ -77,7 +77,13 @@ def stream_generator(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)).jumped(int(stream)))
 
 
-def paths_from_normals(params: Ar1Params, normals: np.ndarray) -> np.ndarray:
+def paths_from_normals(
+    params: Ar1Params,
+    normals: np.ndarray,
+    *,
+    out: np.ndarray | None = None,
+    workspace: np.ndarray | None = None,
+) -> np.ndarray:
     """Turn standard-normal innovations into AR(1) paths along the last axis.
 
     The first coordinate is scaled into the stationary marginal; later
@@ -85,21 +91,47 @@ def paths_from_normals(params: Ar1Params, normals: np.ndarray) -> np.ndarray:
     simulator and the replication engine route through this function, so a
     path drawn in a block matches the standalone draw bit for bit.
 
+    The recursion runs time-major: the innovations are copied transposed
+    into an (n, rows) workspace, each step updates one contiguous vector of
+    all rows as (mu + rho (x[t-1] - mu)) + sigma z[t], and the paths are
+    transposed back into a C-ordered array. Every value is the same float
+    operation sequence as a row-by-row recursion, so rows never depend on
+    how many other rows are passed along.
+
     Parameters
     ----------
     params : Ar1Params
     normals : numpy.ndarray
         Array whose last axis has length params.n.
+    out : numpy.ndarray, optional
+        C-contiguous float array of the innovations' shape that receives
+        the paths; it may be ``normals`` itself.
+    workspace : numpy.ndarray, optional
+        Float array of shape (n, rows), overwritten; lets a caller reuse one
+        buffer across calls.
     """
-    if normals.shape[-1] != params.n:
-        raise ValueError(
-            f"innovations have last axis {normals.shape[-1]}, expected {params.n}"
-        )
+    normals = np.asarray(normals, dtype=float)
+    n = params.n
+    if normals.shape[-1] != n:
+        raise ValueError(f"innovations have last axis {normals.shape[-1]}, expected {n}")
+    if out is not None and (out.shape != normals.shape or not out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous array of shape {normals.shape}")
+    rows = normals.size // n
+    lanes = np.empty((n, rows)) if workspace is None else workspace
+    lanes[...] = normals.reshape(rows, n).T
     mu, sigma, rho = params.mu, params.sigma, params.rho
-    paths = np.empty_like(normals)
-    paths[..., 0] = mu + (sigma / math.sqrt(1.0 - rho * rho)) * normals[..., 0]
-    for t in range(1, params.n):
-        paths[..., t] = mu + rho * (paths[..., t - 1] - mu) + sigma * normals[..., t]
+    # in-place updates swap the operands of + and *, which IEEE keeps exact
+    lanes[0] *= sigma / math.sqrt(1.0 - rho * rho)
+    lanes[0] += mu
+    lanes[1:] *= sigma
+    step = np.empty(rows)
+    for t in range(1, n):
+        np.subtract(lanes[t - 1], mu, out=step)
+        step *= rho
+        step += mu
+        lanes[t] += step
+    paths = np.empty(normals.shape) if out is None else out
+    paths.reshape(rows, n)[...] = lanes.T
     return paths
 
 

@@ -126,17 +126,14 @@ class StudentLaw:
         value (at u = alpha - 1) so that large dof cannot overflow; the
         peak factor is restored in log space.
 
+        The gamma-kernel integral does not depend on t, so one call
+        computes it once for all its arguments.
+
         Raises
         ------
         QuadratureError
             If the integral does not converge to ~1e-8 relative.
         """
-        t_arr = np.asarray(t, dtype=float)
-        if t_arr.ndim:
-            return np.array([self.density_integral(float(v)) for v in t_arr.ravel()]).reshape(
-                t_arr.shape
-            )
-        tt = float(t_arr)
         k = self.dof
         alpha = (k + 1.0) / 2.0
         peak_log = (alpha - 1.0) * (math.log(alpha - 1.0) - 1.0) if alpha > 1.0 else 0.0
@@ -151,15 +148,16 @@ class StudentLaw:
         right, err_right = _quad(scaled_kernel, split, np.inf, epsabs=0.0, epsrel=1e-10)
         total = left + right
         if not total > 0.0 or (err_left + err_right) > 1e-8 * total:
-            raise QuadratureError(
-                f"gamma-kernel integral failed to converge for dof={k}, t={tt}"
-            )
-        log_pref = (
-            -math.lgamma(k / 2.0)
-            - 0.5 * math.log(math.pi * k)
-            - alpha * math.log1p(tt * tt / k)
-        )
-        return math.exp(log_pref + peak_log) * total
+            raise QuadratureError(f"gamma-kernel integral failed to converge for dof={k}")
+        log_norm = -math.lgamma(k / 2.0) - 0.5 * math.log(math.pi * k)
+
+        def at(tt: float) -> float:
+            return math.exp(log_norm - alpha * math.log1p(tt * tt / k) + peak_log) * total
+
+        t_arr = np.asarray(t, dtype=float)
+        if not t_arr.ndim:
+            return at(float(t_arr))
+        return np.array([at(float(v)) for v in t_arr.ravel()]).reshape(t_arr.shape)
 
     # -- distribution function ---------------------------------------------
 

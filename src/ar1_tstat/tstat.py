@@ -53,17 +53,23 @@ def noncentrality(params: Ar1Params) -> float:
     return math.sqrt(params.n) * params.mu / params.sigma
 
 
-def whiten(values: np.ndarray, rho: float) -> np.ndarray:
+def whiten(values: np.ndarray, rho: float, *, out: np.ndarray | None = None) -> np.ndarray:
     """Apply the bidiagonal decorrelating map along the last axis.
 
     Equivalent to multiplying by whitening_matrix in O(n): the first
     coordinate is scaled by sqrt(1 - rho^2) and each later coordinate
     becomes X_i - rho * X_{i-1}. Accepts stacked paths (any leading axes).
+    out, a float array of the same shape that does not overlap values,
+    receives the result; no temporary of that size is made.
     """
     values = np.asarray(values, dtype=float)
-    out = np.empty_like(values)
-    out[..., 0] = math.sqrt(1.0 - rho * rho) * values[..., 0]
-    out[..., 1:] = values[..., 1:] - rho * values[..., :-1]
+    if out is None:
+        out = np.empty_like(values)
+    elif np.may_share_memory(out, values):
+        raise ValueError("whiten's out must not overlap its input")
+    np.multiply(values[..., 0], math.sqrt(1.0 - rho * rho), out=out[..., 0])
+    np.multiply(values[..., :-1], rho, out=out[..., 1:])
+    np.subtract(values[..., 1:], out[..., 1:], out=out[..., 1:])
     return out
 
 
@@ -88,17 +94,21 @@ def _values_of(path_or_values) -> np.ndarray:
     return values
 
 
-def row_statistics(rows: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def row_statistics(
+    rows: np.ndarray, mu: float, *, overwrite_rows: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample mean, Bessel variance and t-value of each row (last axis).
 
     The one statistic kernel, for single paths (as 1-row arrays) and for
-    engine blocks alike. Two passes, mean first and then the centered sum
+    engine tiles alike. Two passes, mean first and then the centered sum
     of squares: the one-pass update loses digits once mean^2 dominates the
     variance. The t-value sqrt(n) (mean - mu) / s is NaN where s is 0.
+    With overwrite_rows, the squared deviations are formed in rows itself
+    instead of in a temporary of its size.
     """
     n = rows.shape[-1]
     means = rows.mean(axis=-1)
-    centered = rows - means[..., None]
+    centered = np.subtract(rows, means[..., None], out=rows if overwrite_rows else None)
     centered *= centered
     bessel = centered.sum(axis=-1) / (n - 1)
     with np.errstate(divide="ignore", invalid="ignore"):

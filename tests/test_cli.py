@@ -511,7 +511,7 @@ def test_manifest_records_argv(tmp_path):
     assert peak["self"] > 0.0 and peak["children"] >= 0.0
 
 
-def test_manifest_records_simulation_telemetry(tmp_path):
+def test_manifest_records_simulation_telemetry(tmp_path, monkeypatch):
     import scipy
 
     out = tmp_path / "sim.csv"
@@ -529,6 +529,10 @@ def test_manifest_records_simulation_telemetry(tmp_path):
     assert all(seconds >= 0.0 for seconds in wall.values())
     # the pool workers are reaped children of this process
     assert manifest["run"]["peak_rss_mb"]["children"] > 0.0
+    faults = manifest["run"]["minor_faults"]
+    assert sorted(faults) == ["children", "self"]
+    assert all(isinstance(count, int) for count in faults.values())
+    assert faults["self"] > 0 and faults["children"] > 0
 
     out = tmp_path / "kde.csv"
     argv = [
@@ -539,3 +543,9 @@ def test_manifest_records_simulation_telemetry(tmp_path):
     manifest = json.loads((tmp_path / "kde.csv.manifest.json").read_text())
     assert (manifest["environment"]["workers"], manifest["environment"]["philox_blocks"]) == (1, 1)
     assert list(manifest["run"]["wall_s"]) == ["simulate", "kde", "write"]
+
+    # without the resource module (Windows) both usage records are null
+    monkeypatch.setattr(cli, "resource", None)
+    assert main(argv) == 0
+    run = json.loads((tmp_path / "kde.csv.manifest.json").read_text())["run"]
+    assert run["peak_rss_mb"] is None and run["minor_faults"] is None

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,14 +16,18 @@ from ar1_tstat import (
     estimate_moments,
     ks_test,
     modified_t_statistic,
+    paths_from_normals,
     sample_paths,
     silverman_bandwidth,
     simulate_functional,
     simulate_path,
+    stream_generator,
     summarize,
     t_statistic,
+    whiten,
 )
-from ar1_tstat.montecarlo import _kolmogorov_sf
+from ar1_tstat.montecarlo import TILE_NORMALS, _kolmogorov_sf
+from ar1_tstat.tstat import row_statistics
 
 
 def _config(reps, seed=77, workers=1, **kw):
@@ -64,6 +69,65 @@ def test_worker_count_never_changes_results():
     cfg4 = _config(3 * BLOCK_SIZE + 17, workers=4)
     for f in Functional:
         assert np.array_equal(simulate_functional(cfg1, f), simulate_functional(cfg4, f))
+
+
+def _one_shot_values(cfg, functional):
+    # each block drawn in one call, recurred and reduced whole
+    p, parts = cfg.params, []
+    column = {Functional.SAMPLE_MEAN: 0, Functional.SAMPLE_VARIANCE: 1}.get(functional, 2)
+    for start in range(0, cfg.replications, BLOCK_SIZE):
+        rows = min(BLOCK_SIZE, cfg.replications - start)
+        z = stream_generator(cfg.seed, start // BLOCK_SIZE).standard_normal((rows, p.n))
+        paths = paths_from_normals(p, z)
+        if functional is Functional.MODIFIED_T_STAT:
+            paths = whiten(paths, p.rho)
+        parts.append(row_statistics(paths, p.mu)[column])
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize(
+    "n, reps",
+    [
+        (1000, BLOCK_SIZE + 3),  # 1,048-row tiles do not divide a block
+        (300, 2 * BLOCK_SIZE - 1),
+        (300, 2 * BLOCK_SIZE + 1),
+    ],
+)
+def test_tiles_equal_one_shot_blocks_bitwise(n, reps):
+    assert BLOCK_SIZE % (TILE_NORMALS // n) != 0
+    cfg = _config(reps, seed=314, mu=0.1, rho=0.95, n=n)
+    for functional in Functional:
+        want = _one_shot_values(cfg, functional)
+        assert np.array_equal(simulate_functional(cfg, functional), want, equal_nan=True)
+
+
+@pytest.mark.parametrize("n, reps", [(1000, BLOCK_SIZE + 3), (300, 2 * BLOCK_SIZE + 1)])
+def test_tiled_worker_counts_agree(n, reps):
+    configs = [_config(reps, seed=9, rho=0.95, n=n, workers=w) for w in (1, 2, 3)]
+    runs = [simulate_functional(cfg, Functional.MODIFIED_T_STAT) for cfg in configs]
+    assert all(np.array_equal(runs[0], other) for other in runs[1:])
+
+
+def test_tiled_block_row_zero_matches_simulate_path():
+    cfg = _config(BLOCK_SIZE + 3, seed=21, mu=0.2, rho=0.9, n=1000)
+    t_vals = simulate_functional(cfg, Functional.T_STAT)
+    mt_vals = simulate_functional(cfg, Functional.MODIFIED_T_STAT)
+    for block in (0, 1):
+        path = simulate_path(cfg.params, seed=cfg.seed, stream=block)
+        assert t_vals[block * BLOCK_SIZE] == t_statistic(path, mu=0.2).value
+        assert mt_vals[block * BLOCK_SIZE] == modified_t_statistic(path).value
+
+
+def test_engine_memory_is_bounded_by_the_tile():
+    # whole 4096 x 1000 blocks and their temporaries would need about 126 MB
+    cfg = _config(2 * BLOCK_SIZE, seed=314, rho=0.95, n=1000)
+    tracemalloc.start()
+    try:
+        simulate_functional(cfg, Functional.MODIFIED_T_STAT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_replication_count_is_exact():

@@ -59,6 +59,60 @@ def test_paths_from_normals_batched_rows_match_single():
         assert np.array_equal(block[i], paths_from_normals(p, z[i]))
 
 
+def _row_by_row_paths(p, z):
+    # the recursion column by column over all rows, in the operation order
+    # (mu + rho (x[t-1] - mu)) + sigma z[t]
+    mu, sigma, rho = p.mu, p.sigma, p.rho
+    paths = np.empty_like(z)
+    paths[..., 0] = mu + (sigma / math.sqrt(1.0 - rho * rho)) * z[..., 0]
+    for t in range(1, p.n):
+        paths[..., t] = mu + rho * (paths[..., t - 1] - mu) + sigma * z[..., t]
+    return paths
+
+
+@pytest.mark.parametrize("rho", [-0.9, 0.0, 0.95])
+def test_time_major_recursion_equals_row_by_row_bitwise(rho):
+    p = Ar1Params(mu=0.3, sigma=1.7, rho=rho, n=57)
+    z = stream_generator(5, 2).standard_normal((33, 57))
+    assert np.array_equal(paths_from_normals(p, z), _row_by_row_paths(p, z))
+    assert np.array_equal(paths_from_normals(p, z[7]), _row_by_row_paths(p, z[7]))
+
+
+def test_paths_from_normals_is_c_ordered():
+    p = Ar1Params(mu=0.0, sigma=1.0, rho=0.5, n=9)
+    z = stream_generator(1, 0).standard_normal((12, 9))
+    assert paths_from_normals(p, z).flags.c_contiguous
+    # a transposed (F-ordered) input still gives C-ordered paths
+    assert paths_from_normals(p, np.asfortranarray(z)).flags.c_contiguous
+
+
+def test_paths_from_normals_reuses_out_and_workspace():
+    p = Ar1Params(mu=-0.2, sigma=0.8, rho=0.7, n=11)
+    z = stream_generator(3, 1).standard_normal((6, 11))
+    want = paths_from_normals(p, z)
+    workspace = np.full((11, 6), np.nan)
+    tile = z.copy()
+    got = paths_from_normals(p, tile, out=tile, workspace=workspace)
+    assert got is tile
+    assert np.array_equal(got, want)
+    with pytest.raises(ValueError):
+        paths_from_normals(p, z, out=np.empty((6, 11), order="F"))
+    with pytest.raises(ValueError):
+        paths_from_normals(p, z, out=np.empty((5, 11)))
+
+
+def test_tiled_draw_equals_one_shot_draw():
+    # Philox is counter-based: drawing a block tile by tile into one reused
+    # buffer gives the normals of one (rows, n) draw
+    rows, n, tile_rows = 4096, 1000, 1048
+    want = stream_generator(314, 3).standard_normal((rows, n))
+    rng = stream_generator(314, 3)
+    buffer = np.empty((tile_rows, n))
+    for start in range(0, rows, tile_rows):
+        m = min(tile_rows, rows - start)
+        assert np.array_equal(rng.standard_normal(out=buffer[:m]), want[start : start + m])
+
+
 def test_paths_from_normals_shape_mismatch():
     p = Ar1Params(mu=0.0, sigma=1.0, rho=0.0, n=4)
     with pytest.raises(ValueError):

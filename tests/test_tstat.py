@@ -18,6 +18,7 @@ from ar1_tstat import (
     whitened_mean,
     whitening_matrix,
 )
+from ar1_tstat.tstat import row_statistics
 
 
 def test_t_statistic_hand_computation():
@@ -78,6 +79,28 @@ def test_whiten_batched():
     block = whiten(x, -0.4)
     for i in range(4):
         assert np.array_equal(block[i], whiten(x[i], -0.4))
+
+
+def test_whiten_into_out_equals_the_two_term_formula():
+    x = stream_generator(13, 0).standard_normal((5, 8))
+    want = np.empty_like(x)
+    want[:, 0] = math.sqrt(1.0 - 0.81) * x[:, 0]
+    want[:, 1:] = x[:, 1:] - 0.9 * x[:, :-1]
+    out = np.full_like(x, np.nan)
+    assert whiten(x, 0.9, out=out) is out
+    assert np.array_equal(out, want)
+    assert np.array_equal(whiten(x, 0.9), want)
+    with pytest.raises(ValueError):
+        whiten(x, 0.9, out=x)
+
+
+def test_row_statistics_overwrite_rows_keeps_bits():
+    x = stream_generator(14, 0).standard_normal((6, 9)) + 3.0
+    want = row_statistics(x, 0.5)
+    scratch = x.copy()
+    got = row_statistics(scratch, 0.5, overwrite_rows=True)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert not np.array_equal(scratch, x)
 
 
 def test_whitening_gives_identity_covariance():
