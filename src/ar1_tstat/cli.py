@@ -16,6 +16,7 @@ import argparse
 import concurrent.futures
 import contextlib
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -54,41 +55,6 @@ except ImportError:  # Windows
 
 __all__ = ["main", "entrypoint"]
 
-_TABLE_COLUMNS = [
-    "n",
-    "rho",
-    "sigma",
-    "var_num_closed",
-    "var_num_oracle",
-    "e_s2_closed",
-    "e_s2_oracle",
-    "e_s4_closed",
-    "e_s4_oracle",
-    "var_s2_closed",
-    "var_s2_oracle",
-    "max_rel_gap",
-    "discrepancy_flag",
-]
-
-_SUMMARY_COLUMNS = [
-    "functional",
-    "n",
-    "rho",
-    "mu",
-    "sigma",
-    "seed",
-    "replications",
-    "used",
-    "degenerate",
-    "mean",
-    "variance",
-    "std_error_mean",
-    "std_error_variance",
-    "ks_statistic",
-    "ks_p_value",
-    "ks_reference",
-]
-
 
 def _fmt(value) -> str:
     # 17 significant digits round-trips any float64; '.' decimal always
@@ -97,12 +63,13 @@ def _fmt(value) -> str:
     return "" if value is None else str(value)
 
 
-def _write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> None:
+def _write_csv(path: str, rows: list[dict]) -> None:
+    # every row has the same keys in printed order; the first row's are the header
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(fieldnames)
+        writer.writerow(rows[0])
         for row in rows:
-            writer.writerow([_fmt(row[name]) for name in fieldnames])
+            writer.writerow([_fmt(value) for value in row.values()])
 
 
 def _parse_grid(text: str, integer: bool = False) -> list:
@@ -131,6 +98,8 @@ def _parse_grid(text: str, integer: bool = False) -> list:
             raise ValueError(f"non-numeric grid value in {text!r}") from None
         if not values:
             raise ValueError(f"grid spec {text!r} produces no values")
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"non-finite grid value in {text!r}")
     if integer:
         rounded = []
         for v in values:
@@ -188,12 +157,9 @@ def _write_manifest(
     phases: dict[str, float],
     config: SimulationConfig | None = None,
 ) -> str:
-    params = None if config is None else config.params
     manifest = {
         "command": command,
-        "params": None
-        if params is None
-        else {"mu": params.mu, "sigma": params.sigma, "rho": params.rho, "n": params.n},
+        "params": None if config is None else dataclasses.asdict(config.params),
         "seed": None if config is None else config.seed,
         "replications": None if config is None else config.replications,
         "tool_version": __version__,
@@ -249,7 +215,7 @@ def cmd_table_moments(args, argv) -> int:
             row["discrepancy_flag"] = int(any(r.discrepant for r in shown))
             rows.append(row)
     with _phase(phases, "write"):
-        _write_csv(args.out, _TABLE_COLUMNS, rows)
+        _write_csv(args.out, rows)
     _write_manifest(args.out, "table-moments", argv, [args.out], phases)
     return 0
 
@@ -362,7 +328,7 @@ def cmd_simulate(args, argv) -> int:
                 json.dump(row, handle, indent=2)
                 handle.write("\n")
         else:
-            _write_csv(args.out, _SUMMARY_COLUMNS, [row])
+            _write_csv(args.out, [row])
         if args.values_out:
             # one joined write; the same bytes as _write_csv's one-column rows
             with open(args.values_out, "w", newline="") as handle:
@@ -387,7 +353,6 @@ def cmd_density(args, argv) -> int:
             {"t": float(t), "pdf_closed": float(c), "pdf_integral": float(i)}
             for t, c, i in zip(grid, closed, integral)
         ]
-        columns = ["t", "pdf_closed", "pdf_integral"]
     else:
         missing = [
             flag
@@ -405,9 +370,8 @@ def cmd_density(args, argv) -> int:
         with _phase(phases, "kde"):
             kde = empirical_density(values, grid, bandwidth=args.bandwidth)
         rows = [{"t": float(t), "kde": float(d)} for t, d in zip(grid, kde)]
-        columns = ["t", "kde"]
     with _phase(phases, "write"):
-        _write_csv(args.out, columns, rows)
+        _write_csv(args.out, rows)
     _write_manifest(args.out, "density", argv, [args.out], phases, config)
     return 0
 

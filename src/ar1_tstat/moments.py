@@ -3,8 +3,10 @@
 Each function evaluates one closed-form expression for a moment of the
 t-statistic's numerator or denominator. The matrix-trace routines in
 ``oracle`` reach the same quantities by an independent route; the
-``compare_moment`` helper reports both values side by side and flags
-relative gaps above DISCREPANCY_RTOL.
+``compare_moment`` helper reports both values side by side for each of
+the five scalar quantities of ``MomentQuantity`` and flags relative gaps
+above DISCREPANCY_RTOL. The per-coordinate covariances and their total
+are checked by ``verification`` instead.
 
 Status of the expressions, established against the trace oracle over the
 full (n, rho) grid:
@@ -227,11 +229,9 @@ def variance_of_sample_variance(params: Ar1Params) -> float:
 
 
 class MomentQuantity(enum.Enum):
-    """Moment quantities with both a closed form and a matrix oracle."""
+    """Scalar moment quantities with both a closed form and a matrix oracle."""
 
     SCALED_MEAN_VARIANCE = "scaled_mean_variance"
-    MEAN_COVARIANCE = "mean_covariance"
-    MEAN_COVARIANCE_TOTAL = "mean_covariance_total"
     MEAN_COVARIANCE_SQUARE_SUM = "mean_covariance_square_sum"
     SAMPLE_VARIANCE_MEAN = "sample_variance_mean"
     SAMPLE_VARIANCE_SECOND_MOMENT = "sample_variance_second_moment"
@@ -253,7 +253,6 @@ class MomentReport:
     abs_gap: float
     rel_gap: float
     discrepant: bool
-    index: int | None = None  # j for the per-coordinate covariance
 
     @property
     def authoritative(self) -> float:
@@ -261,47 +260,30 @@ class MomentReport:
         return self.oracle if self.discrepant else self.closed_form
 
 
-def _closed_value(quantity: MomentQuantity, params: Ar1Params, index):
-    if quantity is MomentQuantity.MEAN_COVARIANCE:
-        if index is None:
-            raise ValueError("MEAN_COVARIANCE needs an index j")
-        return covariance_with_mean(params, index)
-    funcs = {
-        MomentQuantity.SCALED_MEAN_VARIANCE: variance_of_scaled_mean,
-        MomentQuantity.MEAN_COVARIANCE_TOTAL: covariance_with_mean_total,
-        MomentQuantity.MEAN_COVARIANCE_SQUARE_SUM: covariance_with_mean_square_sum,
-        MomentQuantity.SAMPLE_VARIANCE_MEAN: mean_of_sample_variance,
-        MomentQuantity.SAMPLE_VARIANCE_SECOND_MOMENT: second_moment_of_sample_variance,
-        MomentQuantity.SAMPLE_VARIANCE_VARIANCE: variance_of_sample_variance,
-    }
-    return funcs[quantity](params)
+def _routes(quantity: MomentQuantity, params: Ar1Params) -> tuple[float, float]:
+    """(closed form, oracle) of one quantity, closed form evaluated first.
 
-
-def _oracle_value(quantity: MomentQuantity, params: Ar1Params, index):
-    if quantity is MomentQuantity.MEAN_COVARIANCE:
-        return oracle.covariance_with_mean(params, index)
-    if quantity in (
-        MomentQuantity.SCALED_MEAN_VARIANCE,
-        MomentQuantity.MEAN_COVARIANCE_TOTAL,
-    ):
-        return oracle.scaled_mean_variance(params)
-    if quantity is MomentQuantity.MEAN_COVARIANCE_SQUARE_SUM:
+    Every function is looked up at call time, so swapping a module
+    attribute (as call-time tracing does) reaches this route too.
+    """
+    q = MomentQuantity
+    if quantity is q.SCALED_MEAN_VARIANCE:
+        return variance_of_scaled_mean(params), oracle.scaled_mean_variance(params)
+    if quantity is q.MEAN_COVARIANCE_SQUARE_SUM:
+        closed = covariance_with_mean_square_sum(params)
         profile = oracle.mean_covariance_profile(params)
-        return math.fsum(float(c) * float(c) for c in profile)
+        return closed, math.fsum(float(c) * float(c) for c in profile)
     form = oracle.centering_form(params.n)
-    if quantity is MomentQuantity.SAMPLE_VARIANCE_MEAN:
-        return oracle.form_mean(form, params)
-    if quantity is MomentQuantity.SAMPLE_VARIANCE_SECOND_MOMENT:
-        return oracle.form_second_moment(form, params)
-    return oracle.form_variance(form, params)
+    if quantity is q.SAMPLE_VARIANCE_MEAN:
+        return mean_of_sample_variance(params), oracle.form_mean(form, params)
+    if quantity is q.SAMPLE_VARIANCE_SECOND_MOMENT:
+        return second_moment_of_sample_variance(params), oracle.form_second_moment(form, params)
+    return variance_of_sample_variance(params), oracle.form_variance(form, params)
 
 
-def compare_moment(
-    quantity: MomentQuantity, params: Ar1Params, index: int | None = None
-) -> MomentReport:
+def compare_moment(quantity: MomentQuantity, params: Ar1Params) -> MomentReport:
     """Evaluate one quantity by both routes and report the gap."""
-    closed = _closed_value(quantity, params, index)
-    oracle_value = _oracle_value(quantity, params, index)
+    closed, oracle_value = _routes(quantity, params)
     abs_gap = abs(closed - oracle_value)
     rel_gap = abs_gap / max(abs(oracle_value), 1e-300)
     return MomentReport(
@@ -312,11 +294,9 @@ def compare_moment(
         abs_gap=abs_gap,
         rel_gap=rel_gap,
         discrepant=rel_gap > DISCREPANCY_RTOL,
-        index=index,
     )
 
 
 def compare_all(params: Ar1Params) -> list[MomentReport]:
-    """Reports for every quantity except the per-coordinate covariance."""
-    quantities = [q for q in MomentQuantity if q is not MomentQuantity.MEAN_COVARIANCE]
-    return [compare_moment(q, params) for q in quantities]
+    """Reports for every quantity of MomentQuantity."""
+    return [compare_moment(q, params) for q in MomentQuantity]

@@ -11,7 +11,7 @@ into a non-fatal discrepancy section instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -107,17 +107,7 @@ class VerificationReport:
                 "rho": list(self.rho_grid),
                 "sigma": self.sigma,
             },
-            "checks": [
-                {
-                    "name": c.name,
-                    "tolerance": c.tolerance,
-                    "max_gap": c.max_gap,
-                    "worst_n": c.worst_n,
-                    "worst_rho": c.worst_rho,
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
             "discrepancies": [
                 {
                     "quantity": r.quantity.value,
@@ -155,19 +145,19 @@ def _matrix_gaps(params: Ar1Params) -> dict[str, float]:
 
 
 def _scalar_gaps(params: Ar1Params, reports: dict) -> dict[str, float]:
-    form_a = moments.variance_of_scaled_mean(params)
+    form_a = reports[MomentQuantity.SCALED_MEAN_VARIANCE].closed_form
     form_b = moments.variance_of_scaled_mean_regrouped(params)
     profile = oracle.mean_covariance_profile(params)
     closed_profile = [
         moments.covariance_with_mean(params, j) for j in range(1, params.n + 1)
     ]
     per_j = max(_rel_gap(c, float(o)) for c, o in zip(closed_profile, profile))
-    total_closed = reports[MomentQuantity.MEAN_COVARIANCE_TOTAL].closed_form
     summed = math.fsum(closed_profile)
+    total = moments.covariance_with_mean_total(params)
     return {
         "scaled_mean_variance_forms_agree": _rel_gap(form_a, form_b),
         "mean_covariance_matches_oracle": per_j,
-        "mean_covariance_sum_is_total": _rel_gap(summed, total_closed),
+        "mean_covariance_sum_is_total": _rel_gap(summed, total),
         **{name: reports[q].rel_gap for name, q in _ORACLE_CHECKS.items()},
     }
 
@@ -200,8 +190,11 @@ def run_verification(
     sigma : float
         Innovation scale used at every grid point.
     tolerance_override : float, optional
-        Replaces every per-check tolerance (used by the CLI --tol flag).
+        Replaces every per-check tolerance (used by the CLI --tol flag);
+        must be a number >= 0, else ValueError.
     """
+    if tolerance_override is not None and not tolerance_override >= 0.0:
+        raise ValueError(f"tolerance must be a number >= 0, got {tolerance_override!r}")
     n_grid = tuple(int(n) for n in (n_grid if n_grid is not None else DEFAULT_N_GRID))
     rho_grid = tuple(
         float(r) for r in (rho_grid if rho_grid is not None else DEFAULT_RHO_GRID)

@@ -191,20 +191,12 @@ def test_compare_moment_report_fields():
     assert report.authoritative == report.closed_form
 
 
-def test_compare_moment_per_index():
-    p = Ar1Params(mu=0.0, sigma=1.0, rho=0.3, n=6)
-    report = compare_moment(MomentQuantity.MEAN_COVARIANCE, p, index=2)
-    assert report.index == 2
-    assert not report.discrepant
-
-
 def test_compare_all_covers_every_scalar_quantity():
     p = Ar1Params(mu=0.0, sigma=1.0, rho=0.7, n=12)
     reports = compare_all(p)
     kinds = {r.quantity for r in reports}
     assert kinds == {
         MomentQuantity.SCALED_MEAN_VARIANCE,
-        MomentQuantity.MEAN_COVARIANCE_TOTAL,
         MomentQuantity.MEAN_COVARIANCE_SQUARE_SUM,
         MomentQuantity.SAMPLE_VARIANCE_MEAN,
         MomentQuantity.SAMPLE_VARIANCE_SECOND_MOMENT,
