@@ -13,139 +13,101 @@ The package covers four layers that cross-validate each other:
 - a deterministic, worker-count-invariant Monte Carlo engine
   (:mod:`~ar1_tstat.montecarlo`) plus an identity-verification harness
   (:mod:`~ar1_tstat.verification`).
+
+The public names load on first access (PEP 562), so ``import ar1_tstat``,
+which ``python -m ar1_tstat`` runs first, imports no numpy: the entry point
+can still choose the BLAS thread count before numpy loads.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .matrices import (
-    cholesky_perturbation,
-    covariance_cholesky,
-    covariance_matrix,
-    is_positive_definite,
-    precision_matrix,
-    whitening_matrix,
-)
-from .moments import (
-    DISCREPANCY_RTOL,
-    MomentQuantity,
-    MomentReport,
-    compare_all,
-    compare_moment,
-    covariance_with_mean,
-    covariance_with_mean_square_sum,
-    covariance_with_mean_total,
-    mean_of_sample_variance,
-    second_moment_of_sample_variance,
-    variance_of_sample_variance,
-    variance_of_scaled_mean,
-    variance_of_scaled_mean_regrouped,
-)
-from .montecarlo import (
-    BLOCK_SIZE,
-    EmpiricalSummary,
-    Functional,
-    KsReport,
-    SimulationConfig,
-    empirical_density,
-    estimate_moments,
-    ks_test,
-    sample_paths,
-    silverman_bandwidth,
-    simulate_functional,
-    summarize,
-)
-from .oracle import (
-    QuadraticForm,
-    centering_form,
-    form_mean,
-    form_second_moment,
-    form_variance,
-    mean_covariance_profile,
-    scaled_mean_variance,
-)
-from .params import STATIONARITY_MARGIN, Ar1Params
-from .process import (
-    NormalLaw,
-    SamplePath,
-    linear_combination_law,
-    paths_from_normals,
-    simulate_path,
-    stationary_covariance,
-    stream_generator,
-)
-from .student import QuadratureError, StudentLaw
-from .tstat import (
-    DegenerateSampleError,
-    StatKind,
-    TStatResult,
-    modified_t_statistic,
-    noncentrality,
-    t_statistic,
-    whiten,
-    whitened_mean,
-)
-from .verification import IdentityCheck, VerificationReport, run_verification
+# module -> the public names it defines
+_EXPORTS = {
+    "params": ("Ar1Params", "STATIONARITY_MARGIN"),
+    "matrices": (
+        "covariance_matrix",
+        "covariance_cholesky",
+        "cholesky_perturbation",
+        "precision_matrix",
+        "whitening_matrix",
+        "is_positive_definite",
+    ),
+    "process": (
+        "NormalLaw",
+        "SamplePath",
+        "stream_generator",
+        "paths_from_normals",
+        "simulate_path",
+        "stationary_covariance",
+        "linear_combination_law",
+    ),
+    "oracle": (
+        "QuadraticForm",
+        "centering_form",
+        "form_mean",
+        "form_variance",
+        "form_second_moment",
+        "scaled_mean_variance",
+        "mean_covariance_profile",
+    ),
+    "moments": (
+        "DISCREPANCY_RTOL",
+        "MomentQuantity",
+        "MomentReport",
+        "variance_of_scaled_mean",
+        "variance_of_scaled_mean_regrouped",
+        "covariance_with_mean",
+        "covariance_with_mean_total",
+        "covariance_with_mean_square_sum",
+        "mean_of_sample_variance",
+        "second_moment_of_sample_variance",
+        "variance_of_sample_variance",
+        "compare_moment",
+        "compare_all",
+    ),
+    "tstat": (
+        "StatKind",
+        "TStatResult",
+        "DegenerateSampleError",
+        "noncentrality",
+        "whiten",
+        "whitened_mean",
+        "t_statistic",
+        "modified_t_statistic",
+    ),
+    "student": ("StudentLaw", "QuadratureError"),
+    "montecarlo": (
+        "BLOCK_SIZE",
+        "Functional",
+        "SimulationConfig",
+        "EmpiricalSummary",
+        "KsReport",
+        "simulate_functional",
+        "sample_paths",
+        "summarize",
+        "estimate_moments",
+        "ks_test",
+        "silverman_bandwidth",
+        "empirical_density",
+    ),
+    "verification": ("IdentityCheck", "VerificationReport", "run_verification"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "Ar1Params",
-    "STATIONARITY_MARGIN",
-    "covariance_matrix",
-    "covariance_cholesky",
-    "cholesky_perturbation",
-    "precision_matrix",
-    "whitening_matrix",
-    "is_positive_definite",
-    "NormalLaw",
-    "SamplePath",
-    "stream_generator",
-    "paths_from_normals",
-    "simulate_path",
-    "stationary_covariance",
-    "linear_combination_law",
-    "QuadraticForm",
-    "centering_form",
-    "form_mean",
-    "form_variance",
-    "form_second_moment",
-    "scaled_mean_variance",
-    "mean_covariance_profile",
-    "DISCREPANCY_RTOL",
-    "MomentQuantity",
-    "MomentReport",
-    "variance_of_scaled_mean",
-    "variance_of_scaled_mean_regrouped",
-    "covariance_with_mean",
-    "covariance_with_mean_total",
-    "covariance_with_mean_square_sum",
-    "mean_of_sample_variance",
-    "second_moment_of_sample_variance",
-    "variance_of_sample_variance",
-    "compare_moment",
-    "compare_all",
-    "StatKind",
-    "TStatResult",
-    "DegenerateSampleError",
-    "noncentrality",
-    "whiten",
-    "whitened_mean",
-    "t_statistic",
-    "modified_t_statistic",
-    "StudentLaw",
-    "QuadratureError",
-    "BLOCK_SIZE",
-    "Functional",
-    "SimulationConfig",
-    "EmpiricalSummary",
-    "KsReport",
-    "simulate_functional",
-    "sample_paths",
-    "summarize",
-    "estimate_moments",
-    "ks_test",
-    "silverman_bandwidth",
-    "empirical_density",
-    "IdentityCheck",
-    "VerificationReport",
-    "run_verification",
-]
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

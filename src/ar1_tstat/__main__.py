@@ -1,3 +1,20 @@
-from .cli import entrypoint
+"""``python -m ar1_tstat`` and the ``ar1-tstat`` script.
 
-entrypoint()
+One worker model: a process runs numpy's BLAS on one thread unless the
+user's own OPENBLAS_NUM_THREADS says otherwise, so the --workers pool of
+Philox blocks is the program's only parallelism. The default has to be in
+the environment before numpy loads, and the pool's workers inherit it.
+"""
+
+import os
+
+
+def entrypoint() -> None:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    from .cli import entrypoint as run
+
+    run()
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -72,6 +72,9 @@ def _write_csv(path: str, rows: list[dict]) -> None:
             writer.writerow([_fmt(value) for value in row.values()])
 
 
+_MAX_RANGE_VALUES = 1_000_000
+
+
 def _parse_grid(text: str, integer: bool = False) -> list:
     """Grid spec: comma list '2,5,10' or inclusive range 'start:stop:step'."""
     text = str(text).strip()
@@ -87,10 +90,12 @@ def _parse_grid(text: str, integer: bool = False) -> list:
             raise ValueError(f"non-numeric range spec {text!r}") from None
         if step == 0.0 or not all(map(math.isfinite, (start, stop, step))):
             raise ValueError(f"bad range spec {text!r}")
-        count = math.floor((stop - start) / step + 1e-9) + 1
-        if count < 1:
+        steps = (stop - start) / step + 1e-9  # the value count less one, unrounded
+        if steps < 0.0:
             raise ValueError(f"range spec {text!r} produces no values")
-        values = [start + k * step for k in range(count)]
+        if not steps < _MAX_RANGE_VALUES:  # before the list is built; catches inf
+            raise ValueError(f"range spec {text!r} gives more than {_MAX_RANGE_VALUES} values")
+        values = [start + k * step for k in range(math.floor(steps) + 1)]
     else:
         try:
             values = [float(p) for p in text.split(",") if p.strip()]
@@ -126,6 +131,7 @@ def _environment(config: SimulationConfig | None) -> dict:
         "numpy": np.__version__,
         "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
         "longdouble_eps": float(np.finfo(np.longdouble).eps),
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
     }
     if config is not None:
         env["workers"] = config.workers
@@ -211,7 +217,7 @@ def cmd_table_moments(args, argv) -> int:
                 row[f"{prefix}_oracle"] = reports[quantity].oracle
             # the flag and the gap cover the tabulated columns only
             shown = [reports[q] for q in quantities.values()]
-            row["max_rel_gap"] = max(0.0, *(r.rel_gap for r in shown))
+            row["max_rel_gap"] = float(np.max([0.0, *(r.rel_gap for r in shown)]))  # NaN wins
             row["discrepancy_flag"] = int(any(r.discrepant for r in shown))
             rows.append(row)
     with _phase(phases, "write"):

@@ -243,7 +243,7 @@ class MomentReport:
     """Closed form vs oracle for one quantity at one parameter point.
 
     rel_gap uses max(|oracle|, 1e-300) as denominator; discrepant is set
-    when rel_gap exceeds DISCREPANCY_RTOL.
+    when rel_gap exceeds DISCREPANCY_RTOL or is NaN.
     """
 
     quantity: MomentQuantity
@@ -293,7 +293,7 @@ def compare_moment(quantity: MomentQuantity, params: Ar1Params) -> MomentReport:
         oracle=oracle_value,
         abs_gap=abs_gap,
         rel_gap=rel_gap,
-        discrepant=rel_gap > DISCREPANCY_RTOL,
+        discrepant=not rel_gap <= DISCREPANCY_RTOL,
     )
 
 

@@ -254,7 +254,8 @@ def ks_test(samples, reference_cdf, reference: str = "") -> KsReport:
     KsReport
     """
     samples = np.asarray(samples, dtype=float)
-    sorted_values = np.sort(samples[np.isfinite(samples)])
+    sorted_values = samples[np.isfinite(samples)]  # a copy, sorted in place
+    sorted_values.sort()
     m = sorted_values.size
     if m == 0:
         raise ValueError("ks_test needs a non-empty sample")

@@ -57,14 +57,15 @@ def _panel_integrals(func, edges: np.ndarray) -> np.ndarray:
     array, so memory is bounded in the number of panels; each panel's
     arithmetic is that of a single pass over all of them, bit for bit.
     """
-    lo, hi = edges[:-1], edges[1:]
-    half_width = 0.5 * (hi - lo)
-    mid = 0.5 * (lo + hi)
-    out = np.empty(half_width.shape)
-    for start in range(0, out.size, _PANEL_CHUNK):
-        part = slice(start, start + _PANEL_CHUNK)
-        nodes = mid[part, None] + half_width[part, None] * _GL_NODES[None, :]
-        out[part] = (func(nodes) @ _GL_WEIGHTS) * half_width[part]
+    count = edges.size - 1
+    out = np.empty(count)
+    for start in range(0, count, _PANEL_CHUNK):
+        stop = min(start + _PANEL_CHUNK, count)
+        lo, hi = edges[start:stop], edges[start + 1 : stop + 1]
+        half_width = 0.5 * (hi - lo)
+        mid = 0.5 * (lo + hi)
+        nodes = mid[:, None] + half_width[:, None] * _GL_NODES[None, :]
+        out[start:stop] = (func(nodes) @ _GL_WEIGHTS) * half_width
     return out
 
 
@@ -177,22 +178,45 @@ class StudentLaw:
         flat = ts.ravel()
         if np.isnan(flat).any():
             raise ValueError("cdf arguments must not be NaN")
-        out = np.empty(flat.shape)
         mag = np.abs(flat)
         head = mag <= _TAIL_SPLIT
-        if head.any():
-            head_mag = mag[head]
-            ladder = np.arange(0.0, float(head_mag.max()) + _PANEL_WIDTH, _PANEL_WIDTH)
-            edges = np.unique(np.concatenate((ladder, head_mag)))
-            panel = _panel_integrals(self.density_closed, edges)
-            half = np.concatenate(([0.0], np.cumsum(panel)))[np.searchsorted(edges, head_mag)]
-            out[head] = np.where(flat[head] >= 0.0, 0.5 + half, 0.5 - half)
-        if not head.all():
+        if head.all():  # no copy of the arguments when every one is in the head
+            out = self._head_cdf(mag, flat < 0.0)
+        else:
+            # the head's temporaries are freed before the result is allocated
+            head_cdf = self._head_cdf(mag[head], flat[head] < 0.0) if head.any() else []
+            out = np.empty(flat.shape)
+            out[head] = head_cdf
+            del head_cdf
             tail = ~head
             sf = self._tail_mass(mag[tail])
             out[tail] = np.where(flat[tail] >= 0.0, 1.0 - sf, sf)
-        out = np.clip(out.reshape(ts.shape), 0.0, 1.0)
+        np.clip(out, 0.0, 1.0, out=out)
+        out = out.reshape(ts.shape)
         return out if out.ndim else float(out)
+
+    def _head_cdf(self, mag: np.ndarray, negative: np.ndarray) -> np.ndarray:
+        """The cdf at arguments of magnitude mag <= _TAIL_SPLIT; negative marks those below 0.
+
+        Each full-size temporary is freed before the next one is made, so
+        the peak stays near four arrays of the arguments' size.
+        """
+        ladder = np.arange(0.0, float(mag.max(initial=0.0)) + _PANEL_WIDTH, _PANEL_WIDTH)
+        # np.unique(edges), sorted and deduplicated without its copies
+        edges = np.concatenate((ladder, mag))
+        edges.sort()
+        edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
+        cumulative = np.empty(edges.size)
+        cumulative[0] = 0.0
+        np.cumsum(_panel_integrals(self.density_closed, edges), out=cumulative[1:])
+        index = np.searchsorted(edges, mag)
+        del edges
+        half = cumulative[index]
+        del cumulative, index
+        # 0.5 - half is 0.5 + (-half), bit for bit
+        np.negative(half, out=half, where=negative)
+        half += 0.5
+        return half
 
     def _tail_mass(self, mag: np.ndarray) -> np.ndarray:
         """P(T > m) for magnitudes m > _TAIL_SPLIT (inf allowed)."""

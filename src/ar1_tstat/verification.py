@@ -207,7 +207,8 @@ def run_verification(
         gaps = _matrix_gaps(params)
         gaps.update(_scalar_gaps(params, reports))
         for name, gap in gaps.items():
-            if gap > worst[name][0]:
+            # a NaN gap is the worst gap; the first one found is kept
+            if gap > worst[name][0] or (math.isnan(gap) and not math.isnan(worst[name][0])):
                 worst[name] = (gap, params.n, params.rho)
         flagged.extend(reports[q] for q in _FOURTH_MOMENT if reports[q].discrepant)
     checks = []
@@ -215,7 +216,7 @@ def run_verification(
         if tolerance_override is not None:
             tolerance = tolerance_override
         gap, n, rho = worst[name]
-        gap = max(gap, 0.0)
+        gap = max(gap, 0.0)  # keeps a NaN, which fails the check below
         checks.append(
             IdentityCheck(
                 name=name,

@@ -1,4 +1,4 @@
-"""End-to-end CLI behavior through main(); only the scipy checks spawn a process."""
+"""End-to-end CLI behavior through main(); the import, scipy and BLAS-thread checks spawn a process."""
 
 import concurrent.futures.process
 import csv
@@ -50,6 +50,23 @@ def test_parse_grid_rejects_malformed(bad):
         _parse_grid(bad, integer=True)
 
 
+def test_parse_grid_bounds_range_length():
+    # counted before the list is built: 1e15 values would never finish
+    assert len(_parse_grid("1:1000000:1")) == cli._MAX_RANGE_VALUES
+    for spec in ("0:1000000:1", "0:1e12:1e-3", "-1e308:1e308:1e-300"):
+        with pytest.raises(ValueError, match="more than"):
+            _parse_grid(spec)
+    with pytest.raises(ValueError, match="no values"):
+        _parse_grid("1e308:-1e308:1")
+
+
+def test_oversized_range_exit_code(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    assert main(["density", "--dof", "3", "--grid-t=0:1e12:1e-3", "--out", str(out)]) == 2
+    _assert_one_line_error(capsys)
+    assert not out.exists()
+
+
 def test_merge_negative_values():
     argv = ["verify", "--grid-rho", "-0.9,0.0", "--out", "x.json"]
     merged = _merge_negative_values(argv)
@@ -84,6 +101,17 @@ def test_table_moments_layout(tmp_path):
     manifest = json.loads((tmp_path / "table.csv.manifest.json").read_text())
     assert manifest["command"] == "table-moments"
     assert manifest["outputs"] == [str(out)]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_table_moments_flags_nan_gap(tmp_path):
+    # at sigma = 1e200 the moments overflow (the closed fourth moments to
+    # -inf, the oracle to inf), so gaps are NaN, and max(0.0, nan) is 0.0
+    out = tmp_path / "table.csv"
+    args = ["table-moments", "--grid-n", "2,5", "--grid-rho", "0.5", "--sigma", "1e200"]
+    assert main(args + ["--out", str(out)]) == 0
+    rows = _read_rows(out)
+    assert [(r["max_rel_gap"], r["discrepancy_flag"]) for r in rows] == [("nan", "1")] * 2
 
 
 def test_table_moments_rerun_identical_bytes(tmp_path):
@@ -124,6 +152,19 @@ def test_verify_invalid_tolerance_is_a_usage_error(tmp_path, capsys, tol):
     assert rc == 2
     _assert_one_line_error(capsys)
     assert not (tmp_path / "v.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_verify_nan_gap_fails(tmp_path, capsys):
+    # overflowing moments give NaN gaps; each must fail its check, not pass at 0
+    out = tmp_path / "verify.json"
+    rc = main(
+        ["verify", "--grid-n", "2,5", "--grid-rho", "0.5", "--sigma", "1e200", "--out", str(out)]
+    )
+    assert rc == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert failed and all("max gap nan" in line for line in failed)
+    assert json.loads(out.read_text())["passed"] is False
 
 
 def test_verify_tolerance_override_fails(tmp_path, capsys):
@@ -447,6 +488,65 @@ def test_heavy_tailed_tstat_run_does_not_load_scipy(tmp_path):
     assert manifest["environment"]["scipy"] is None
 
 
+# -- entry point: a lazy package and one BLAS thread ---------------------------
+
+
+def _child_env(**overrides) -> dict:
+    src = str(Path(ar1_tstat.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return {**env, "PYTHONPATH": src, **overrides}
+
+
+def _run_module(argv, **env) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "ar1_tstat", *argv],
+        env=_child_env(**env),
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_package_import_loads_no_numpy():
+    # python -m imports the package before __main__ can set the BLAS threads
+    probe = (
+        "import sys, ar1_tstat; print('numpy' in sys.modules); ns = {}; "
+        "exec('from ar1_tstat import *', ns); "
+        "print(all(ns[name] is getattr(ar1_tstat, name) for name in ar1_tstat.__all__))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=_child_env(), capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["False", "True"]
+
+
+@pytest.mark.parametrize("given, recorded", [(None, "1"), ("2", "2")])
+def test_module_entry_defaults_to_one_blas_thread(tmp_path, given, recorded):
+    # the default is set only where the user set nothing
+    out = tmp_path / "t.csv"
+    env = {} if given is None else {"OPENBLAS_NUM_THREADS": given}
+    argv = ["table-moments", "--grid-n", "2", "--grid-rho", "0.5", "--out", str(out)]
+    done = _run_module(argv, **env)
+    assert done.returncode == 0, done.stderr
+    manifest = json.loads((tmp_path / "t.csv.manifest.json").read_text())
+    assert manifest["environment"]["blas_threads"] == recorded
+
+
+@pytest.mark.parametrize(
+    "output, command, digest, needs_80_bit",
+    PINNED_OUTPUT_DIGESTS,
+    ids=[entry[0] for entry in PINNED_OUTPUT_DIGESTS],
+)
+def test_one_blas_thread_outputs_are_pinned(tmp_path, output, command, digest, needs_80_bit):
+    if needs_80_bit and not _LONG_DOUBLE_80:
+        pytest.skip("the oracle's bits are pinned only with 80-bit long double")
+    out = tmp_path / output
+    done = _run_module(command.split() + ["--out", str(out)])
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    manifest = json.loads((tmp_path / f"{output}.manifest.json").read_text())
+    assert manifest["environment"]["blas_threads"] == "1"
+
+
 # -- density ------------------------------------------------------------------
 
 
@@ -593,6 +693,7 @@ def test_manifest_records_argv(tmp_path):
     env = manifest["environment"]
     assert env["numpy"] == np.__version__
     assert env["longdouble_eps"] == float(np.finfo(np.longdouble).eps)
+    assert env["blas_threads"] == os.environ.get("OPENBLAS_NUM_THREADS")
     assert "workers" not in env and "philox_blocks" not in env
     assert set(manifest["run"]["wall_s"]) == {"grid", "write"}
     peak = manifest["run"]["peak_rss_mb"]

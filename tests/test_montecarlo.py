@@ -225,6 +225,14 @@ def test_ks_test_drops_non_finite():
     assert report.sample_size == 1000
 
 
+def test_ks_test_leaves_its_sample_unchanged():
+    # the finite values are sorted in place in a copy, never in the caller's array
+    sample = np.array([3.0, np.nan, -1.0, 2.0, np.inf, 0.5])
+    before = sample.copy()
+    ks_test(sample, StudentLaw(5.0).cdf)
+    assert np.array_equal(sample, before, equal_nan=True)
+
+
 def test_ks_test_rejects_broken_cdf():
     broken = (
         lambda x: np.asarray(x) * 10.0,  # not a probability

@@ -179,6 +179,41 @@ def test_cdf_memory_does_not_grow_with_argument_count():
     assert np.all(np.diff(values) >= 0.0)
 
 
+def test_cdf_peak_at_a_million_sorted_arguments():
+    # ks_test's call: sorted, a few ties, a few beyond |t| = 30. With
+    # np.unique, full-size mid/half_width arrays and out-of-place signs,
+    # sums and clipping the peak here is 71.6 MB
+    rng = np.random.default_rng(314)
+    t = np.sort(np.round(rng.standard_t(2.0, 1_000_000), 6))
+    assert np.any(np.abs(t) > student._TAIL_SPLIT) and np.any(t[1:] == t[:-1])
+    law = StudentLaw(9.0)
+    tracemalloc.start()
+    try:
+        law.cdf(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 56 * 2**20
+
+
+@pytest.mark.parametrize("dof", [1.0, 9.0, 999.0])
+def test_cdf_head_matches_unique_route(dof):
+    # the head as np.unique, a prefixed cumsum and np.where gave it
+    rng = np.random.default_rng(int(dof))
+    t = np.concatenate((np.round(rng.uniform(-30.0, 30.0, 5000), 3), [0.0, -0.0, 30.0, -30.0]))
+    law = StudentLaw(dof)
+    mag = np.abs(t)
+    ladder = np.arange(0.0, float(mag.max()) + student._PANEL_WIDTH, student._PANEL_WIDTH)
+    edges = np.unique(np.concatenate((ladder, mag)))
+    panels = _panel_integrals(law.density_closed, edges)
+    half = np.concatenate(([0.0], np.cumsum(panels)))[np.searchsorted(edges, mag)]
+    expected = np.clip(np.where(t >= 0.0, 0.5 + half, 0.5 - half), 0.0, 1.0)
+    assert np.array_equal(law.cdf(t), expected)
+    # the same bits when tail arguments share the call
+    mixed = law.cdf(np.concatenate((t, [-31.0, 1e9])))[: t.size]
+    assert np.array_equal(mixed, expected)
+
+
 def _one_shot_panels(func, edges):
     # all panels in one node array: the arithmetic every chunk must repeat
     lo, hi = edges[:-1], edges[1:]

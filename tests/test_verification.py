@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -11,6 +12,7 @@ from ar1_tstat import (
     moments,
     oracle,
     run_verification,
+    verification,
 )
 from ar1_tstat.verification import (
     DEFAULT_N_GRID,
@@ -128,3 +130,23 @@ def test_moment_routes_look_up_functions_at_call_time(monkeypatch):
     calls.clear()
     run_verification(n_grid=[3, 5], rho_grid=[0.5])
     assert sorted(calls) == ["form_variance"] * 2 + ["mean_of_sample_variance"] * 2
+
+
+def test_nan_gap_is_the_worst_gap(monkeypatch):
+    # NaN > worst is False, so a NaN gap needs its own rule to be recorded
+    real = verification._matrix_gaps
+
+    def gaps(params):
+        found = real(params)
+        if params.n == 3:
+            found["whitening_gram_is_precision"] = math.nan
+        return found
+
+    monkeypatch.setattr(verification, "_matrix_gaps", gaps)
+    report = run_verification(n_grid=(2, 3, 5), rho_grid=(0.5,))
+    checks = {c.name: c for c in report.checks}
+    nan_check = checks.pop("whitening_gram_is_precision")
+    # the first NaN stays the worst gap; the finite gap at n=5 does not replace it
+    assert math.isnan(nan_check.max_gap) and nan_check.worst_n == 3
+    assert not nan_check.passed and not report.passed
+    assert all(c.passed and not math.isnan(c.max_gap) for c in checks.values())
