@@ -1,16 +1,16 @@
 """``python -m ar1_tstat`` and the ``ar1-tstat`` script.
 
-One worker model: a process runs numpy's BLAS on one thread unless the
-user's own OPENBLAS_NUM_THREADS says otherwise, so the --workers pool of
-Philox blocks is the program's only parallelism. The default has to be in
-the environment before numpy loads, and the pool's workers inherit it.
+One worker model (see :mod:`~ar1_tstat.blas`): a process runs numpy's BLAS
+on one thread unless the user's own OPENBLAS_NUM_THREADS says otherwise. The
+default has to be in the environment before numpy loads, and the pool's
+workers inherit it.
 """
 
-import os
+from .blas import default_to_one_thread
 
 
 def entrypoint() -> None:
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    default_to_one_thread()
     from .cli import entrypoint as run
 
     run()

@@ -72,6 +72,23 @@ def _write_csv(path: str, rows: list[dict]) -> None:
             writer.writerow([_fmt(value) for value in row.values()])
 
 
+def _json_safe(value):
+    # strict JSON has no NaN or infinity: they print as CSV prints them, 'nan', 'inf', '-inf'
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(float(value))
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    return value
+
+
+def _write_json(path: str, obj) -> None:
+    with open(path, "w") as handle:
+        json.dump(_json_safe(obj), handle, indent=2, allow_nan=False)
+        handle.write("\n")
+
+
 _MAX_RANGE_VALUES = 1_000_000
 
 
@@ -176,9 +193,7 @@ def _write_manifest(
         "run": {"wall_s": dict(phases), **_resource_usage()},
     }
     path = f"{out_path}.manifest.json"
-    with open(path, "w") as handle:
-        json.dump(manifest, handle, indent=2)
-        handle.write("\n")
+    _write_json(path, manifest)
     return path
 
 
@@ -253,9 +268,8 @@ def cmd_verify(args, argv) -> int:
         f"{len(report.discrepancies)} fourth-moment grid points flagged "
         "against the trace oracle (reported, non-fatal)"
     )
-    with _phase(phases, "write"), open(args.out, "w") as handle:
-        json.dump(report.as_dict(), handle, indent=2)
-        handle.write("\n")
+    with _phase(phases, "write"):
+        _write_json(args.out, report.as_dict())
     _write_manifest(args.out, "verify", argv, [args.out], phases)
     return 0 if report.passed else 1
 
@@ -330,9 +344,7 @@ def cmd_simulate(args, argv) -> int:
     outputs = [args.out]
     with _phase(phases, "write"):
         if args.format == "json":
-            with open(args.out, "w") as handle:
-                json.dump(row, handle, indent=2)
-                handle.write("\n")
+            _write_json(args.out, row)
         else:
             _write_csv(args.out, [row])
         if args.values_out:

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import moments, oracle
+from . import blas, moments, oracle
 from .matrices import (
     covariance_cholesky,
     covariance_matrix,
@@ -135,13 +135,14 @@ def _matrix_gaps(params: Ar1Params) -> dict[str, float]:
     wh = whitening_matrix(params)
     eye = np.eye(params.n)
     recombined = eye + cholesky_perturbation(params)
-    return {
-        "cholesky_reproduces_covariance": float(np.abs(chol @ chol.T - cov).max()),
-        "whitening_gram_is_precision": float(np.abs(wh.T @ wh - prec).max()),
-        "precision_inverts_covariance": float(np.abs(prec @ cov - eye).max()),
-        "whitening_diagonalizes_covariance": float(np.abs(wh @ cov @ wh.T - eye).max()),
-        "perturbation_recombines_exactly": float(np.abs(recombined - chol).max()),
-    }
+    with blas.threads_for(params.n):  # five dense O(n^3) products
+        return {
+            "cholesky_reproduces_covariance": float(np.abs(chol @ chol.T - cov).max()),
+            "whitening_gram_is_precision": float(np.abs(wh.T @ wh - prec).max()),
+            "precision_inverts_covariance": float(np.abs(prec @ cov - eye).max()),
+            "whitening_diagonalizes_covariance": float(np.abs(wh @ cov @ wh.T - eye).max()),
+            "perturbation_recombines_exactly": float(np.abs(recombined - chol).max()),
+        }
 
 
 def _scalar_gaps(params: Ar1Params, reports: dict) -> dict[str, float]:

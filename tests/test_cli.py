@@ -154,6 +154,10 @@ def test_verify_invalid_tolerance_is_a_usage_error(tmp_path, capsys, tol):
     assert not (tmp_path / "v.json").exists()
 
 
+def _reject_non_json_constant(name):
+    raise AssertionError(f"{name} is not strict JSON")
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_verify_nan_gap_fails(tmp_path, capsys):
     # overflowing moments give NaN gaps; each must fail its check, not pass at 0
@@ -164,7 +168,9 @@ def test_verify_nan_gap_fails(tmp_path, capsys):
     assert rc == 1
     failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
     assert failed and all("max gap nan" in line for line in failed)
-    assert json.loads(out.read_text())["passed"] is False
+    report = json.loads(out.read_text(), parse_constant=_reject_non_json_constant)
+    assert report["passed"] is False
+    assert {check["max_gap"] for check in report["checks"] if not check["passed"]} == {"nan"}
 
 
 def test_verify_tolerance_override_fails(tmp_path, capsys):
@@ -336,16 +342,44 @@ PINNED_OUTPUT_DIGESTS = [
 ]
 
 
+def _child_env(**overrides) -> dict:
+    src = str(Path(ar1_tstat.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return {**env, "PYTHONPATH": src, **overrides}
+
+
+def _run_module(argv, **env) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "ar1_tstat", *argv],
+        env=_child_env(**env),
+        capture_output=True,
+        text=True,
+    )
+
+
+def _launch_main(argv) -> int:
+    return main(argv)
+
+
+def _launch_module(argv) -> int:
+    # python -m runs BLAS on one thread: the bits must not move
+    done = _run_module(argv)
+    assert done.returncode == 0, done.stderr
+    return done.returncode
+
+
 @pytest.mark.parametrize(
-    "output, command, digest, needs_80_bit",
-    PINNED_OUTPUT_DIGESTS,
-    ids=[entry[0] for entry in PINNED_OUTPUT_DIGESTS],
+    "launch, output, command, digest, needs_80_bit",
+    [(launch, *entry) for launch in (_launch_main, _launch_module) for entry in PINNED_OUTPUT_DIGESTS],
+    ids=[
+        entry[0] + suffix for suffix in ("", "-python-m") for entry in PINNED_OUTPUT_DIGESTS
+    ],
 )
-def test_primary_output_is_pinned(tmp_path, output, command, digest, needs_80_bit):
+def test_primary_output_is_pinned(tmp_path, launch, output, command, digest, needs_80_bit):
     if needs_80_bit and not _LONG_DOUBLE_80:
         pytest.skip("the oracle's bits are pinned only with 80-bit long double")
     out = tmp_path / output
-    assert main(command.split() + ["--out", str(out)]) == 0
+    assert launch(command.split() + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
@@ -491,21 +525,6 @@ def test_heavy_tailed_tstat_run_does_not_load_scipy(tmp_path):
 # -- entry point: a lazy package and one BLAS thread ---------------------------
 
 
-def _child_env(**overrides) -> dict:
-    src = str(Path(ar1_tstat.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    return {**env, "PYTHONPATH": src, **overrides}
-
-
-def _run_module(argv, **env) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "-m", "ar1_tstat", *argv],
-        env=_child_env(**env),
-        capture_output=True,
-        text=True,
-    )
-
-
 def test_package_import_loads_no_numpy():
     # python -m imports the package before __main__ can set the BLAS threads
     probe = (
@@ -531,20 +550,49 @@ def test_module_entry_defaults_to_one_blas_thread(tmp_path, given, recorded):
     assert manifest["environment"]["blas_threads"] == recorded
 
 
-@pytest.mark.parametrize(
-    "output, command, digest, needs_80_bit",
-    PINNED_OUTPUT_DIGESTS,
-    ids=[entry[0] for entry in PINNED_OUTPUT_DIGESTS],
-)
-def test_one_blas_thread_outputs_are_pinned(tmp_path, output, command, digest, needs_80_bit):
-    if needs_80_bit and not _LONG_DOUBLE_80:
-        pytest.skip("the oracle's bits are pinned only with 80-bit long double")
-    out = tmp_path / output
-    done = _run_module(command.split() + ["--out", str(out)])
+_THREADS_PROBE = """
+import ctypes, os, sys
+from ar1_tstat import blas
+blas.default_to_one_thread()
+from numpy._core import _multiarray_umath
+lib = ctypes.CDLL(_multiarray_umath.__file__)
+get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+if get is None:
+    sys.exit("not numpy's bundled OpenBLAS")
+counts = [get()]
+with blas.threads_for(blas.THREADED_MIN_N - 1):
+    counts.append(get())
+with blas.threads_for(blas.THREADED_MIN_N):
+    counts.append(get())
+counts.append(get())
+print(len(os.sched_getaffinity(0)), *counts)
+"""
+
+
+@pytest.mark.parametrize("given", [None, "1"])
+def test_large_products_use_every_cpu_only_under_the_default(given):
+    env = {} if given is None else {"OPENBLAS_NUM_THREADS": given}
+    done = subprocess.run(
+        [sys.executable, "-c", _THREADS_PROBE], env=_child_env(**env), capture_output=True, text=True
+    )
+    if "bundled OpenBLAS" in done.stderr:
+        pytest.skip(done.stderr.strip())
     assert done.returncode == 0, done.stderr
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-    manifest = json.loads((tmp_path / f"{output}.manifest.json").read_text())
-    assert manifest["environment"]["blas_threads"] == "1"
+    cpus, before, small, large, after = map(int, done.stdout.split())
+    assert (before, small, after) == (1, 1, 1)
+    # a user's own value wins over the threaded large products too
+    assert large == (cpus if given is None else 1)
+
+
+def test_large_n_verify_prints_what_an_all_cpu_blas_prints(tmp_path):
+    # the last bits of a dense product's gap depend on the BLAS thread count;
+    # at large n the default run uses OpenBLAS's own count, every usable CPU
+    default, all_cpus = tmp_path / "default.json", tmp_path / "all_cpus.json"
+    argv = ["verify", "--grid-n", "500", "--grid-rho=-0.5,0.5", "--out"]
+    cpus = str(len(os.sched_getaffinity(0)))
+    assert _run_module(argv + [str(default)]).returncode == 0
+    assert _run_module(argv + [str(all_cpus)], OPENBLAS_NUM_THREADS=cpus).returncode == 0
+    assert default.read_bytes() == all_cpus.read_bytes()
 
 
 # -- density ------------------------------------------------------------------
