@@ -143,10 +143,8 @@ def _phase(phases: dict[str, float], name: str):
 
 
 def _environment(config: SimulationConfig | None) -> dict:
-    # scipy's version only if this run loaded it: looking it up must not load it
     env = {
         "numpy": np.__version__,
-        "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
         "longdouble_eps": float(np.finfo(np.longdouble).eps),
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
     }
@@ -280,13 +278,12 @@ def _reference_cdf(functional: Functional, params: Ar1Params):
         law = StudentLaw(params.n - 1)
         return law.cdf, f"student-t({params.n - 1})"
     if functional is Functional.SAMPLE_MEAN:
-        from scipy.special import erf  # deferred: the other functionals never need scipy
-
         law = linear_combination_law(params, np.full(params.n, 1.0 / params.n))
+        erf = np.frompyfunc(math.erf, 1, 1)  # libm's erf, one Python call per value
 
         def normal_cdf(x):
             z = (np.asarray(x, dtype=float) - law.mean) / (law.std * math.sqrt(2.0))
-            return 0.5 * (1.0 + erf(z))
+            return 0.5 * (1.0 + np.asarray(erf(z), dtype=float))
 
         return normal_cdf, f"normal({law.mean:g},{law.variance:g})"
     return None, ""

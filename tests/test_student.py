@@ -2,7 +2,9 @@
 
 import hashlib
 import math
+import time
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -10,7 +12,13 @@ import pytest
 from scipy import integrate, stats
 
 from ar1_tstat import QuadratureError, StudentLaw, student
-from ar1_tstat.student import _GL_NODES, _GL_WEIGHTS, _PANEL_CHUNK, _panel_integrals
+from ar1_tstat.student import (
+    _GL_NODES,
+    _GL_WEIGHTS,
+    _PANEL_CHUNK,
+    _gamma_kernel_total,
+    _panel_integrals,
+)
 
 
 @pytest.mark.parametrize("dof", [0.0, -1.0, float("nan"), float("inf")])
@@ -31,7 +39,7 @@ def test_closed_density_against_scipy():
     assert np.allclose(law.density_closed(t), stats.t.pdf(t, 7.0), rtol=1e-13, atol=0.0)
 
 
-@pytest.mark.parametrize("dof", [1.0, 2.0, 5.0, 30.0])
+@pytest.mark.parametrize("dof", [1.0, 2.0, 5.0, 30.0, 0.5, 999.0])
 def test_dual_route_agreement(dof):
     """Quadrature route must reproduce the closed form to 1e-8 relative."""
     law = StudentLaw(dof)
@@ -47,6 +55,45 @@ def test_dual_route_large_dof_stays_finite():
     law = StudentLaw(200.0)
     val = law.density_integral(0.0)
     assert val == pytest.approx(law.density_closed(0.0), rel=1e-10)
+
+
+# relative error bound of the gamma-kernel total per dof: rounding of the
+# kernel's exponent grows like eps * (alpha - 1) log(alpha)
+_KERNEL_TOTAL_RTOL = {1e-6: 1e-15, 0.5: 1e-15, 1.0: 1e-15, 2.0: 1e-15, 3.0: 1e-15, 9.0: 1e-15,
+                      30.0: 1e-15, 200.0: 1e-14, 999.0: 5e-14, 1e4: 5e-12, 1e6: 1e-10}
+
+
+@pytest.mark.parametrize("dof", sorted(_KERNEL_TOTAL_RTOL))
+def test_gamma_kernel_total_against_mpmath(dof):
+    # the total is Gamma(alpha) exp(-peak_log) for the float peak_log the route stores
+    alpha = (dof + 1.0) / 2.0
+    peak_log = (alpha - 1.0) * (math.log(alpha - 1.0) - 1.0) if alpha > 1.0 else 0.0
+    total = _gamma_kernel_total(alpha, peak_log, refine=1)
+    with mpmath.workdps(40):
+        want = mpmath.gamma(mpmath.mpf(alpha)) * mpmath.exp(-mpmath.mpf(peak_log))
+        assert abs((total - want) / want) < _KERNEL_TOTAL_RTOL[dof]
+    if dof == 9.0:
+        # every bit of the law-mode density output hangs on this double: it
+        # must stay the correctly rounded 5.118576565607273
+        assert total == float(want)
+
+
+@pytest.mark.parametrize("dof", [1e8, 1e12, 1e300])
+def test_huge_dof_meets_contract_or_raises(dof):
+    law = StudentLaw(dof)
+    start = time.perf_counter()
+    try:
+        value = law.density_integral(0.0)
+    except QuadratureError:
+        value = None
+    assert time.perf_counter() - start < 1.0
+    if value is not None:
+        k = mpmath.mpf(dof)
+        with mpmath.workdps(40):
+            want = mpmath.exp(
+                mpmath.loggamma((k + 1) / 2) - mpmath.loggamma(k / 2) - mpmath.log(mpmath.pi * k) / 2
+            )
+            assert abs((value - want) / want) < 1e-8
 
 
 def test_density_scalar_vs_array():
@@ -281,11 +328,13 @@ def test_cdf_monotone():
     assert np.all((vals >= 0.0) & (vals <= 1.0))
 
 
-def test_quadrature_error_is_raised_not_warned():
-    # an integrand scipy cannot settle must surface as QuadratureError
-    law = StudentLaw(2.0)
-    spiky = lambda u: math.sin(1.0 / (abs(u) + 1e-12)) * law.density_closed(u)
-    from ar1_tstat.student import _quad
-
-    with pytest.raises(QuadratureError):
-        _quad(spiky, 0.0, np.inf, epsabs=1e-300, epsrel=1e-300)
+def test_quadrature_error_is_raised_not_warned(monkeypatch):
+    # a rule too coarse for the panels leaves a half-width gap above 1e-8,
+    # which must surface as QuadratureError
+    nodes, weights = np.polynomial.legendre.leggauss(2)  # gap 5e-7 at dof 9
+    monkeypatch.setattr(student, "_GL_NODES", nodes)
+    monkeypatch.setattr(student, "_GL_WEIGHTS", weights)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match="failed to converge"):
+            StudentLaw(9.0).density_integral(0.0)
