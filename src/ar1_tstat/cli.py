@@ -279,11 +279,14 @@ def _reference_cdf(functional: Functional, params: Ar1Params):
         return law.cdf, f"student-t({params.n - 1})"
     if functional is Functional.SAMPLE_MEAN:
         law = linear_combination_law(params, np.full(params.n, 1.0 / params.n))
-        erf = np.frompyfunc(math.erf, 1, 1)  # libm's erf, one Python call per value
-
         def normal_cdf(x):
             z = (np.asarray(x, dtype=float) - law.mean) / (law.std * math.sqrt(2.0))
-            return 0.5 * (1.0 + np.asarray(erf(z), dtype=float))
+            # libm's erf, one Python call per value, written straight into float64
+            cdf = np.fromiter(map(math.erf, z.ravel()), float, z.size).reshape(z.shape)
+            del z
+            cdf += 1.0  # 0.5 * (1.0 + erf(z)), in place
+            cdf *= 0.5
+            return cdf
 
         return normal_cdf, f"normal({law.mean:g},{law.variance:g})"
     return None, ""

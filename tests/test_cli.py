@@ -8,13 +8,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ar1_tstat
-from ar1_tstat import BLOCK_SIZE, cli
+from ar1_tstat import Ar1Params, BLOCK_SIZE, Functional, cli, linear_combination_law
 from ar1_tstat.cli import _merge_negative_values, _parse_grid, main
 from ar1_tstat.student import QuadratureError, StudentLaw
 
@@ -218,6 +219,24 @@ def test_simulate_mean_uses_exact_normal_reference(tmp_path):
     row = _read_rows(out)[0]
     assert row["ks_reference"].startswith("normal(")
     assert float(row["ks_p_value"]) > 1e-6
+
+
+def test_normal_reference_cdf_bits_and_memory():
+    cdf, _ = cli._reference_cdf(Functional.SAMPLE_MEAN, Ar1Params(mu=0.5, sigma=1.0, rho=0.4, n=6))
+    x = np.random.default_rng(3).standard_normal(100_000) * 3.0
+    tracemalloc.start()
+    try:
+        got = cdf(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the scaled arguments and the result; an object array of Python floats
+    # on the way would add four more arrays' worth
+    assert peak < 2.5 * x.nbytes
+    law = linear_combination_law(Ar1Params(mu=0.5, sigma=1.0, rho=0.4, n=6), np.full(6, 1.0 / 6))
+    scale = law.std * math.sqrt(2.0)
+    for i in (0, 1, 500, 99_999):
+        assert got[i] == 0.5 * (1.0 + math.erf((x[i] - law.mean) / scale))
 
 
 def test_simulate_s2_has_no_reference_law(tmp_path):

@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-import time
 import tracemalloc
 import warnings
 
@@ -78,22 +77,27 @@ def test_gamma_kernel_total_against_mpmath(dof):
         assert total == float(want)
 
 
-@pytest.mark.parametrize("dof", [1e8, 1e12, 1e300])
-def test_huge_dof_meets_contract_or_raises(dof):
-    law = StudentLaw(dof)
-    start = time.perf_counter()
-    try:
-        value = law.density_integral(0.0)
-    except QuadratureError:
-        value = None
-    assert time.perf_counter() - start < 1.0
-    if value is not None:
-        k = mpmath.mpf(dof)
-        with mpmath.workdps(40):
+@pytest.mark.parametrize("dof", [1e6, 5e6])
+def test_large_dof_density_against_mpmath(dof):
+    # below about dof 5.8e6 the route returns, and within the 1e-8 contract
+    t = np.array([0.0, 1.0, 5.0])
+    value = StudentLaw(dof).density_integral(t)
+    k = mpmath.mpf(dof)
+    with mpmath.workdps(40):
+        for tt, got in zip(t, value):
             want = mpmath.exp(
-                mpmath.loggamma((k + 1) / 2) - mpmath.loggamma(k / 2) - mpmath.log(mpmath.pi * k) / 2
+                mpmath.loggamma((k + 1) / 2) - mpmath.loggamma(k / 2)
+                - mpmath.log(mpmath.pi * k) / 2 - (k + 1) / 2 * mpmath.log1p(mpmath.mpf(tt) ** 2 / k)
             )
-            assert abs((value - want) / want) < 1e-8
+            assert abs((got - want) / want) < 1e-8
+
+
+@pytest.mark.parametrize("dof", [7e6, 1e8, 1e12, 1e300])
+def test_huge_dof_raises(dof):
+    # from about dof 6.04e6 the exponent's rounding alone exceeds 1e-8: the
+    # route raises before it evaluates a panel
+    with pytest.raises(QuadratureError, match="rounding-bound"):
+        StudentLaw(dof).density_integral(0.0)
 
 
 def test_density_scalar_vs_array():
