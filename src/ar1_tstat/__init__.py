@@ -84,6 +84,7 @@ _EXPORTS = {
         "SimulationConfig",
         "EmpiricalSummary",
         "KsReport",
+        "pool_layout",
         "simulate_functional",
         "sample_paths",
         "summarize",

@@ -11,9 +11,9 @@ from .blas import default_to_one_thread
 
 def entrypoint() -> None:
     default_to_one_thread()
-    from .cli import entrypoint as run
+    from .cli import main
 
-    run()
+    raise SystemExit(main())
 
 
 if __name__ == "__main__":

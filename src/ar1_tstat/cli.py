@@ -29,11 +29,11 @@ import numpy as np
 
 from . import __version__
 from .montecarlo import (
-    BLOCK_SIZE,
     Functional,
     SimulationConfig,
     empirical_density,
     ks_test,
+    pool_layout,
     simulate_functional,
     summarize,
 )
@@ -53,7 +53,7 @@ try:
 except ImportError:  # Windows
     resource = None
 
-__all__ = ["main", "entrypoint"]
+__all__ = ["main"]
 
 
 def _fmt(value) -> str:
@@ -149,8 +149,8 @@ def _environment(config: SimulationConfig | None) -> dict:
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
     }
     if config is not None:
-        env["workers"] = config.workers
-        env["philox_blocks"] = -(-config.replications // BLOCK_SIZE)
+        blocks, env["workers"] = pool_layout(config)
+        env["philox_blocks"] = len(blocks)
     return env
 
 
@@ -193,18 +193,6 @@ def _write_manifest(
     path = f"{out_path}.manifest.json"
     _write_json(path, manifest)
     return path
-
-
-def _resolve_workers(args) -> int:
-    if getattr(args, "workers", None) is not None:
-        return int(args.workers)
-    env = os.environ.get("AR1_TSTAT_WORKERS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"AR1_TSTAT_WORKERS must be an integer, got {env!r}") from None
-    return 1
 
 
 # -- subcommands -------------------------------------------------------------
@@ -301,7 +289,7 @@ def _simulate(
         params=params,
         replications=args.reps,
         seed=args.seed,
-        workers=_resolve_workers(args),
+        workers=args.workers,
     )
     functional = Functional(args.functional)
     with _phase(phases, "simulate"):
@@ -410,8 +398,8 @@ def _add_run_flags(parser: argparse.ArgumentParser, required: bool) -> None:
     parser.add_argument(
         "--workers",
         type=int,
-        default=None,
-        help="worker processes (default: AR1_TSTAT_WORKERS or 1; never changes results)",
+        default=1,
+        help="worker processes (default 1; never changes results)",
     )
 
 
@@ -554,6 +542,3 @@ def main(argv=None) -> int:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
-
-def entrypoint() -> None:
-    raise SystemExit(main())

@@ -34,6 +34,7 @@ __all__ = [
     "SimulationConfig",
     "EmpiricalSummary",
     "KsReport",
+    "pool_layout",
     "simulate_functional",
     "sample_paths",
     "estimate_moments",
@@ -107,6 +108,13 @@ def _block_layout(replications: int) -> list[tuple[int, int]]:
     return [(b, min(BLOCK_SIZE, replications - start)) for b, start in enumerate(starts)]
 
 
+def pool_layout(config: SimulationConfig) -> tuple[list[tuple[int, int]], int]:
+    """The (block index, rows) pairs of a simulation and the number of
+    processes that run them: config.workers, but never more than the blocks."""
+    blocks = _block_layout(config.replications)
+    return blocks, min(config.workers, len(blocks))
+
+
 def _path_tiles(params: Ar1Params, seed: int, blocks: list[tuple[int, int]]):
     """Paths of the given (block, rows) pairs, one tile at a time.
 
@@ -154,8 +162,7 @@ def simulate_functional(config: SimulationConfig, functional: Functional) -> np.
     blocks.
     """
     params, seed = config.params, config.seed
-    blocks = _block_layout(config.replications)
-    workers = min(config.workers, len(blocks))
+    blocks, workers = pool_layout(config)
     if workers == 1:
         return _functional_blocks(params, seed, blocks, functional)
     cuts = [len(blocks) * i // workers for i in range(workers + 1)]
@@ -221,9 +228,11 @@ def _kolmogorov_sf(x: float) -> float:
 
     Alternating series 2 sum_{j>=1} (-1)^(j-1) exp(-2 j^2 x^2); terms are
     dropped once below 1e-12, and the alternating structure bounds the
-    truncation error by the first dropped term.
+    truncation error by the first dropped term. Below x = 0.17 the series
+    needs more than 1,000 terms, but there P(K <= x) < 4.3e-18, so the
+    survival function rounds to 1.0.
     """
-    if x <= 0.0:
+    if x < 0.17:
         return 1.0
     total = 0.0
     for j in range(1, 1001):

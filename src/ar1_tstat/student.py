@@ -177,8 +177,11 @@ class StudentLaw:
         """Distribution function by Gauss-Legendre quadrature of density_closed.
 
         One route for scalars (returned as float) and arrays: 0.5 +- one
-        cumulative panel sum from 0 up to |t| = 30, and beyond it the tail
-        summed from the top down in y = (k+1)/2 log1p(t^2/k). The panels are
+        cumulative panel sum from 0 up to min(|t|, 30), run once over every
+        argument, and beyond |t| = 30 the tail summed from the top down in
+        y = (k+1)/2 log1p(t^2/k), written over the clipped values. A clipped
+        argument adds panel edges only at or above every other one, so it
+        cannot change any other argument's prefix sum. The panels are
         evaluated in chunks of 4,096 (_panel_integrals), so memory grows
         neither with |t| nor beyond a few arrays of the argument's size with
         the number of arguments. The bounds at _TAIL_SPLIT assume
@@ -190,17 +193,12 @@ class StudentLaw:
         if np.isnan(flat).any():
             raise ValueError("cdf arguments must not be NaN")
         mag = np.abs(flat)
-        head = mag <= _TAIL_SPLIT
-        if head.all():  # no copy of the arguments when every one is in the head
-            out = self._head_cdf(mag, flat < 0.0)
-        else:
-            # the head's temporaries are freed before the result is allocated
-            head_cdf = self._head_cdf(mag[head], flat[head] < 0.0) if head.any() else []
-            out = np.empty(flat.shape)
-            out[head] = head_cdf
-            del head_cdf
-            tail = ~head
-            sf = self._tail_mass(mag[tail])
+        tail = np.flatnonzero(mag > _TAIL_SPLIT)
+        tail_mag = mag[tail]
+        np.minimum(mag, _TAIL_SPLIT, out=mag)
+        out = self._head_cdf(mag, flat < 0.0)
+        if tail.size:  # _tail_mass needs at least one argument
+            sf = self._tail_mass(tail_mag)
             out[tail] = np.where(flat[tail] >= 0.0, 1.0 - sf, sf)
         np.clip(out, 0.0, 1.0, out=out)
         out = out.reshape(ts.shape)

@@ -413,18 +413,17 @@ def test_simulate_worker_flag_does_not_leak_into_output(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_simulate_env_worker_default(tmp_path, monkeypatch):
+def test_worker_environment_variable_is_not_read(tmp_path, monkeypatch):
+    # --workers (default 1) is the only source of the worker count: a value
+    # the program once parsed from the environment no longer fails the run
+    monkeypatch.setenv("AR1_TSTAT_WORKERS", "abc")
     out = tmp_path / "sim.csv"
-    monkeypatch.setenv("AR1_TSTAT_WORKERS", "2")
-    base = [
+    argv = [
         "simulate", "--functional", "mean", "--n", "4", "--rho", "0",
         "--reps", "1000", "--seed", "13", "--out", str(out),
     ]
-    assert main(base) == 0
-    ref = tmp_path / "ref.csv"
-    monkeypatch.delenv("AR1_TSTAT_WORKERS")
-    assert main(base[:-1] + [str(ref)]) == 0
-    assert out.read_bytes() == ref.read_bytes()
+    assert main(argv) == 0
+    assert json.loads((tmp_path / "sim.csv.manifest.json").read_text())["environment"]["workers"] == 1
 
 
 def test_simulate_rejects_nonstationary_rho(tmp_path, capsys):
@@ -817,6 +816,15 @@ def test_manifest_records_simulation_telemetry(tmp_path, monkeypatch):
     manifest = json.loads((tmp_path / "kde.csv.manifest.json").read_text())
     assert (manifest["environment"]["workers"], manifest["environment"]["philox_blocks"]) == (1, 1)
     assert list(manifest["run"]["wall_s"]) == ["simulate", "kde", "write"]
+
+    # the manifest records the pool that ran: one block leaves no work for a second process
+    one_block = [
+        "simulate", "--functional", "mean", "--n", "4", "--rho", "0.3", "--reps", "1000",
+        "--seed", "5", "--workers", "4", "--out", str(tmp_path / "one.csv"),
+    ]
+    assert main(one_block) == 0
+    env = json.loads((tmp_path / "one.csv.manifest.json").read_text())["environment"]
+    assert (env["workers"], env["philox_blocks"]) == (1, 1)
 
     # without the resource module (Windows) both usage records are null
     monkeypatch.setattr(cli, "resource", None)
