@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 
 # module -> the public names it defines
 _EXPORTS = {
-    "params": ("Ar1Params", "STATIONARITY_MARGIN"),
+    "params": ("Ar1Params", "STATIONARITY_MARGIN", "Functional"),
     "matrices": (
         "covariance_matrix",
         "covariance_cholesky",
@@ -80,7 +80,6 @@ _EXPORTS = {
     "student": ("StudentLaw", "QuadratureError"),
     "montecarlo": (
         "BLOCK_SIZE",
-        "Functional",
         "SimulationConfig",
         "EmpiricalSummary",
         "KsReport",

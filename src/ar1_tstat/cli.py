@@ -8,12 +8,15 @@ the wall time of each phase, the peak RSS and the minor page faults) is the
 only file that differs. Exit codes: 0 success, 1 verification failure, 2
 usage or validation error, or a run that could not finish (failed
 quadrature, broken worker pool, out of memory).
+
+The module loads only numpy and the parameter types: each subcommand
+imports the modules it runs inside its handler, timed as the manifest's
+``import`` phase, so a process loads no code that its command does not use.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import csv
 import dataclasses
@@ -24,29 +27,15 @@ import re
 import sys
 import time
 from datetime import datetime, timezone
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .montecarlo import (
-    Functional,
-    SimulationConfig,
-    empirical_density,
-    ks_test,
-    pool_layout,
-    simulate_functional,
-    summarize,
-)
-from .moments import MomentQuantity
-from .params import Ar1Params
-from .process import linear_combination_law
-from .student import QuadratureError, StudentLaw
-from .verification import (
-    SMALL_N_GRID,
-    SMALL_RHO_GRID,
-    moment_grid,
-    run_verification,
-)
+from .params import Ar1Params, Functional
+
+if TYPE_CHECKING:
+    from .montecarlo import SimulationConfig
 
 try:
     import resource
@@ -149,6 +138,8 @@ def _environment(config: SimulationConfig | None) -> dict:
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
     }
     if config is not None:
+        from .montecarlo import pool_layout
+
         blocks, env["workers"] = pool_layout(config)
         env["philox_blocks"] = len(blocks)
     return env
@@ -202,6 +193,10 @@ def cmd_table_moments(args, argv) -> int:
     n_grid = _parse_grid(args.grid_n, integer=True)
     rho_grid = _parse_grid(args.grid_rho)
     sigma = float(args.sigma)
+    phases: dict[str, float] = {}
+    with _phase(phases, "import"):
+        from .moments import MomentQuantity
+        from .verification import moment_grid
     quantities = {
         "var_num": MomentQuantity.SCALED_MEAN_VARIANCE,
         "e_s2": MomentQuantity.SAMPLE_VARIANCE_MEAN,
@@ -209,7 +204,6 @@ def cmd_table_moments(args, argv) -> int:
         "var_s2": MomentQuantity.SAMPLE_VARIANCE_VARIANCE,
     }
     rows = []
-    phases: dict[str, float] = {}
     with _phase(phases, "grid"):
         for params, reports in moment_grid(n_grid, rho_grid, sigma):
             row = {"n": params.n, "rho": params.rho, "sigma": sigma}
@@ -228,6 +222,9 @@ def cmd_table_moments(args, argv) -> int:
 
 
 def cmd_verify(args, argv) -> int:
+    phases: dict[str, float] = {}
+    with _phase(phases, "import"):
+        from .verification import SMALL_N_GRID, SMALL_RHO_GRID, run_verification
     if args.grid == "small":
         n_grid, rho_grid = SMALL_N_GRID, SMALL_RHO_GRID
     else:
@@ -236,7 +233,6 @@ def cmd_verify(args, argv) -> int:
         n_grid = _parse_grid(args.grid_n, integer=True)
     if args.grid_rho is not None:
         rho_grid = _parse_grid(args.grid_rho)
-    phases: dict[str, float] = {}
     with _phase(phases, "grid"):
         report = run_verification(
             n_grid=n_grid,
@@ -262,6 +258,9 @@ def cmd_verify(args, argv) -> int:
 
 def _reference_cdf(functional: Functional, params: Ar1Params):
     """Exact reference law for the functional, or None if there is none."""
+    from .process import linear_combination_law
+    from .student import StudentLaw
+
     if functional in (Functional.T_STAT, Functional.MODIFIED_T_STAT):
         law = StudentLaw(params.n - 1)
         return law.cdf, f"student-t({params.n - 1})"
@@ -284,6 +283,8 @@ def _simulate(
     args, phases: dict[str, float]
 ) -> tuple[SimulationConfig, Functional, np.ndarray]:
     """Run the functional named by the model and run flags."""
+    from .montecarlo import SimulationConfig, simulate_functional
+
     params = Ar1Params(mu=args.mu, sigma=args.sigma, rho=args.rho, n=args.n)
     config = SimulationConfig(
         params=params,
@@ -299,6 +300,9 @@ def _simulate(
 
 def cmd_simulate(args, argv) -> int:
     phases: dict[str, float] = {}
+    with _phase(phases, "import"):
+        from . import student  # noqa: F401 -- _reference_cdf's Student law
+        from .montecarlo import ks_test, summarize
     config, functional, values = _simulate(args, phases)
     params = config.params
     with _phase(phases, "summarize"):
@@ -351,6 +355,8 @@ def cmd_density(args, argv) -> int:
     phases: dict[str, float] = {}
     config = None
     if args.dof is not None:
+        with _phase(phases, "import"):
+            from .student import StudentLaw
         law = StudentLaw(args.dof)
         with _phase(phases, "density"):
             closed = np.asarray(law.density_closed(grid), dtype=float)
@@ -372,6 +378,8 @@ def cmd_density(args, argv) -> int:
         ]
         if missing:
             raise ValueError(f"simulation mode needs {', '.join(missing)}")
+        with _phase(phases, "import"):
+            from .montecarlo import empirical_density
         config, _, values = _simulate(args, phases)
         with _phase(phases, "kde"):
             kde = empirical_density(values, grid, bandwidth=args.bandwidth)
@@ -530,14 +538,15 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.handler(args, argv)
-    except (
-        ValueError,
-        TypeError,
-        OSError,
-        QuadratureError,
-        concurrent.futures.BrokenExecutor,
-        MemoryError,
-    ) as exc:
+    except Exception as exc:
+        if not isinstance(exc, (ValueError, TypeError, OSError, MemoryError)):
+            # a run that could not finish; its modules are loaded only on this path
+            from concurrent.futures import BrokenExecutor
+
+            from .student import QuadratureError
+
+            if not isinstance(exc, (QuadratureError, BrokenExecutor)):
+                raise
         # exit 1 is reserved for a failed verification
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

@@ -17,20 +17,17 @@ block tile by tile yields the same normals as one draw of the block.
 
 from __future__ import annotations
 
-import concurrent.futures
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .params import Ar1Params
+from .params import Ar1Params, Functional
 from .process import paths_from_normals, stream_generator
 from .tstat import row_statistics, whiten
 
 __all__ = [
     "BLOCK_SIZE",
-    "Functional",
     "SimulationConfig",
     "EmpiricalSummary",
     "KsReport",
@@ -46,15 +43,6 @@ __all__ = [
 
 BLOCK_SIZE = 4096  # replications per stream; fixed so results never depend on workers
 TILE_NORMALS = 2**20  # normals per tile (8 MB): rows per tile are about TILE_NORMALS / n
-
-
-class Functional(enum.Enum):
-    """Per-path statistics the engine can accumulate."""
-
-    SAMPLE_MEAN = "mean"
-    SAMPLE_VARIANCE = "s2"
-    T_STAT = "tstat"
-    MODIFIED_T_STAT = "mtstat"
 
 
 @dataclass(frozen=True)
@@ -167,7 +155,9 @@ def simulate_functional(config: SimulationConfig, functional: Functional) -> np.
         return _functional_blocks(params, seed, blocks, functional)
     cuts = [len(blocks) * i // workers for i in range(workers + 1)]
     shares = [blocks[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-    with concurrent.futures.ProcessPoolExecutor(workers) as pool:
+    from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import
+
+    with ProcessPoolExecutor(workers) as pool:
         parts = list(
             pool.map(
                 _functional_blocks,

@@ -1,7 +1,9 @@
-"""Parameter container and validation for the stationary Gaussian AR(1) model."""
+"""Parameter container and validation for the stationary Gaussian AR(1) model,
+and the names of the per-path statistics a simulation accumulates."""
 
 from __future__ import annotations
 
+import enum
 import math
 import operator
 from dataclasses import dataclass
@@ -71,3 +73,12 @@ class Ar1Params:
     @property
     def marginal_std(self) -> float:
         return math.sqrt(self.marginal_variance)
+
+
+class Functional(enum.Enum):
+    """Per-path statistics the Monte Carlo engine can accumulate."""
+
+    SAMPLE_MEAN = "mean"
+    SAMPLE_VARIANCE = "s2"
+    T_STAT = "tstat"
+    MODIFIED_T_STAT = "mtstat"

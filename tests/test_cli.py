@@ -15,7 +15,15 @@ import numpy as np
 import pytest
 
 import ar1_tstat
-from ar1_tstat import Ar1Params, BLOCK_SIZE, Functional, cli, linear_combination_law
+from ar1_tstat import (
+    Ar1Params,
+    BLOCK_SIZE,
+    Functional,
+    cli,
+    linear_combination_law,
+    montecarlo,
+    verification,
+)
 from ar1_tstat.cli import _merge_negative_values, _parse_grid, main
 from ar1_tstat.student import QuadratureError, StudentLaw
 
@@ -465,9 +473,19 @@ def test_quadrature_failure_exit_code(tmp_path, capsys, monkeypatch):
     _assert_one_line_error(capsys)
 
 
+def test_real_quadrature_failure_exits_2_from_the_module():
+    # dof 7e6 makes the gamma-kernel integral rounding-bound at once; the
+    # error is resolved on main's error path, not imported up front
+    done = _run_module(["density", "--dof", "7e6", "--grid-t", "0", "--out", os.devnull])
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: gamma-kernel integral is rounding-bound")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
+
 def test_broken_pool_exit_code(tmp_path, capsys, monkeypatch):
     broken = concurrent.futures.process.BrokenProcessPool("a worker died")
-    monkeypatch.setattr(cli, "simulate_functional", _raise(broken))
+    monkeypatch.setattr(montecarlo, "simulate_functional", _raise(broken))
     rc = main(
         [
             "simulate", "--functional", "tstat", "--n", "5", "--rho", "0.5",
@@ -480,7 +498,7 @@ def test_broken_pool_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_memory_error_exit_code(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "run_verification", _raise(MemoryError()))
+    monkeypatch.setattr(verification, "run_verification", _raise(MemoryError()))
     rc = main(["verify", "--grid", "small", "--out", str(tmp_path / "v.json")])
     assert rc == 2
     _assert_one_line_error(capsys)
@@ -574,6 +592,84 @@ def test_package_import_loads_no_numpy():
         [sys.executable, "-c", probe], env=_child_env(), capture_output=True, text=True, check=True
     )
     assert out.stdout.split() == ["False", "True"]
+
+
+_FOOTPRINT_PROBE = """
+import json, sys
+from ar1_tstat.cli import main
+argv = json.loads(sys.argv[1])
+rc = 0 if argv is None else main(argv)
+print(rc, json.dumps(sorted(sys.modules)))
+"""
+
+
+def _run_footprint(argv) -> tuple[int, set]:
+    """Exit code of main(argv) in a fresh interpreter, and its sys.modules."""
+    done = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_PROBE, json.dumps(argv)],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    rc, modules = done.stdout.splitlines()[-1].split(" ", 1)
+    return int(rc), set(json.loads(modules))
+
+
+_GRID_MODULES = ("moments", "verification", "oracle", "matrices")
+_SIMULATION_MODULES = ("montecarlo", "process", "tstat", "student")
+_SMALL_SIMULATION = ["--n", "5", "--rho", "0.3", "--reps", "500", "--seed", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv, loaded, absent",
+    [
+        (None, (), _GRID_MODULES + _SIMULATION_MODULES),
+        (
+            ["table-moments", "--grid-n", "2,5", "--grid-rho", "0.5"],
+            _GRID_MODULES,
+            _SIMULATION_MODULES,
+        ),
+        (["verify", "--grid-n", "2,5", "--grid-rho", "0.5"], _GRID_MODULES, _SIMULATION_MODULES),
+        (
+            ["density", "--dof", "9", "--grid-t", "0,1"],
+            ("student",),
+            ("montecarlo", "moments", "verification", "oracle", "matrices", "process", "tstat"),
+        ),
+        (
+            ["density", "--functional", "tstat", *_SMALL_SIMULATION, "--grid-t", "0,1"],
+            ("montecarlo", "process", "tstat"),
+            ("moments", "verification", "oracle"),
+        ),
+        (
+            ["simulate", "--functional", "tstat", *_SMALL_SIMULATION],
+            _SIMULATION_MODULES,
+            ("moments", "verification", "oracle"),
+        ),
+    ],
+    ids=["import-cli", "table-moments", "verify", "density-law", "density-kde", "simulate"],
+)
+def test_each_command_loads_only_its_modules(tmp_path, argv, loaded, absent):
+    if argv is not None:
+        argv = [*argv, "--out", str(tmp_path / "out")]
+    rc, modules = _run_footprint(argv)
+    assert rc == 0
+    assert {f"ar1_tstat.{name}" for name in loaded} <= modules
+    assert not {f"ar1_tstat.{name}" for name in absent} & modules
+    # only a run whose pool starts imports concurrent.futures
+    assert "concurrent.futures" not in modules
+
+
+def test_only_a_pool_run_loads_concurrent_futures(tmp_path):
+    argv = [
+        "simulate", "--functional", "mean", "--n", "4", "--rho", "0.3",
+        "--reps", str(2 * BLOCK_SIZE), "--seed", "5", "--workers", "2",
+        "--out", str(tmp_path / "pool.csv"),
+    ]
+    rc, modules = _run_footprint(argv)
+    assert rc == 0 and "concurrent.futures" in modules
+    env = json.loads((tmp_path / "pool.csv.manifest.json").read_text())["environment"]
+    assert (env["workers"], env["philox_blocks"]) == (2, 2)
 
 
 @pytest.mark.parametrize("given, recorded", [(None, "1"), ("2", "2")])
@@ -781,7 +877,7 @@ def test_manifest_records_argv(tmp_path):
     assert env["longdouble_eps"] == float(np.finfo(np.longdouble).eps)
     assert env["blas_threads"] == os.environ.get("OPENBLAS_NUM_THREADS")
     assert "workers" not in env and "philox_blocks" not in env
-    assert set(manifest["run"]["wall_s"]) == {"grid", "write"}
+    assert set(manifest["run"]["wall_s"]) == {"import", "grid", "write"}
     peak = manifest["run"]["peak_rss_mb"]
     assert peak["self"] > 0.0 and peak["children"] >= 0.0
 
@@ -798,7 +894,7 @@ def test_manifest_records_simulation_telemetry(tmp_path, monkeypatch):
     assert "scipy" not in env
     assert (env["workers"], env["philox_blocks"]) == (2, 3)
     wall = manifest["run"]["wall_s"]
-    assert list(wall) == ["simulate", "summarize", "ks", "write"]
+    assert list(wall) == ["import", "simulate", "summarize", "ks", "write"]
     assert all(seconds >= 0.0 for seconds in wall.values())
     # the pool workers are reaped children of this process
     assert manifest["run"]["peak_rss_mb"]["children"] > 0.0
@@ -815,7 +911,7 @@ def test_manifest_records_simulation_telemetry(tmp_path, monkeypatch):
     assert main(argv) == 0
     manifest = json.loads((tmp_path / "kde.csv.manifest.json").read_text())
     assert (manifest["environment"]["workers"], manifest["environment"]["philox_blocks"]) == (1, 1)
-    assert list(manifest["run"]["wall_s"]) == ["simulate", "kde", "write"]
+    assert list(manifest["run"]["wall_s"]) == ["import", "simulate", "kde", "write"]
 
     # the manifest records the pool that ran: one block leaves no work for a second process
     one_block = [
