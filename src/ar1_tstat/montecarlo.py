@@ -12,7 +12,11 @@ Each block is streamed through row tiles of about TILE_NORMALS normals:
 the draw, recursion, whitening and statistic kernel run one tile at a
 time in buffers a worker reuses for all its blocks, so memory is bounded
 by the tile, not by BLOCK_SIZE x n. Philox is counter-based, so drawing a
-block tile by tile yields the same normals as one draw of the block.
+block tile by tile yields the same normals as one draw of the block. From
+the recursion on, a tile stays in time-major (n, rows) lanes: whitening and
+the statistic kernel run along the long rows axis, and the kernel sums in
+numpy's pairwise order, so every value has the bits of a row-major tile.
+The sample-mean functional runs only the kernel's mean step.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 
 from .params import Ar1Params, Functional
 from .process import paths_from_normals, stream_generator
-from .tstat import row_statistics, whiten
+from .tstat import row_means, row_statistics, whiten
 
 __all__ = [
     "BLOCK_SIZE",
@@ -107,37 +111,40 @@ def _path_tiles(params: Ar1Params, seed: int, blocks: list[tuple[int, int]]):
     """Paths of the given (block, rows) pairs, one tile at a time.
 
     Yields (offset, paths, spare): offset is the tile's first row counted
-    from the start of the first block, and spare is a free buffer of the
-    tile's shape (the recursion's workspace). Every tile reuses the same
+    from the start of the first block; paths is an (m, n) view of the
+    recursion's time-major (n, m) lanes, and spare an (m, n) view of the
+    same layout on the now-free draw buffer. Every tile reuses the same
     two buffers, so both are valid only until the next tile.
     """
     n = params.n
     tile_rows = min(BLOCK_SIZE, max(1, TILE_NORMALS // n))
-    buffer = np.empty((tile_rows, n))
-    workspace = np.empty(tile_rows * n)
+    draws = np.empty(tile_rows * n)
+    lanes = np.empty(tile_rows * n)
     offset = 0
     for block, rows in blocks:
         rng = stream_generator(seed, block)
         for start in range(0, rows, tile_rows):
             m = min(tile_rows, rows - start)
-            tile = rng.standard_normal(out=buffer[:m])
-            spare = workspace[: m * n]
-            paths = paths_from_normals(params, tile, out=tile, workspace=spare.reshape(n, m))
-            yield offset, paths, spare.reshape(m, n)
+            tile = rng.standard_normal(out=draws[: m * n].reshape(m, n))
+            paths = paths_from_normals(params, tile, workspace=lanes[: m * n].reshape(n, m))
+            yield offset, paths, draws[: m * n].reshape(n, m).T
             offset += m
 
 
 def _functional_blocks(
     params: Ar1Params, seed: int, blocks: list[tuple[int, int]], functional: Functional
 ) -> np.ndarray:
-    # row_statistics returns (means, bessel variances, t-values)
-    column = {Functional.SAMPLE_MEAN: 0, Functional.SAMPLE_VARIANCE: 1}.get(functional, 2)
     values = np.empty(sum(rows for _, rows in blocks))
     for offset, paths, spare in _path_tiles(params, seed, blocks):
         if functional is Functional.MODIFIED_T_STAT:
             paths = whiten(paths, params.rho, out=spare)
-        stats = row_statistics(paths, params.mu, overwrite_rows=True)
-        values[offset : offset + len(paths)] = stats[column]
+        if functional is Functional.SAMPLE_MEAN:
+            column = row_means(paths)
+        else:
+            # row_statistics returns (means, bessel variances, t-values)
+            stats = row_statistics(paths, params.mu, overwrite_rows=True)
+            column = stats[1 if functional is Functional.SAMPLE_VARIANCE else 2]
+        values[offset : offset + len(column)] = column
     return values
 
 
@@ -263,9 +270,18 @@ def ks_test(samples, reference_cdf, reference: str = "") -> KsReport:
         raise ValueError(f"reference_cdf returned shape {cdf_values.shape} for {m} samples")
     if not np.all(np.isfinite(cdf_values)) or cdf_values.min() < 0 or cdf_values.max() > 1:
         raise ValueError("reference_cdf must return probabilities in [0, 1]")
-    ranks = np.arange(1, m + 1, dtype=float)
-    d_plus = float(np.max(ranks / m - cdf_values))
-    d_minus = float(np.max(cdf_values - (ranks - 1.0) / m))
+
+    def rank_gaps(start: int) -> np.ndarray:
+        # (start + j) / m - F_j for j = 0..m-1, formed in one buffer
+        gaps = np.arange(start, start + m, dtype=float)
+        gaps /= m
+        gaps -= cdf_values
+        return gaps
+
+    # over the ranks i = 1..m, D+ = max(i/m - F) and D- = max(F - (i-1)/m),
+    # the latter as -min((i-1)/m - F); one buffer is alive at a time
+    d_plus = float(rank_gaps(1).max())
+    d_minus = -float(rank_gaps(0).min())
     statistic = max(d_plus, d_minus, 0.0)
     p_value = _kolmogorov_sf(math.sqrt(m) * statistic)
     label = reference or getattr(reference_cdf, "__qualname__", "")
@@ -320,12 +336,19 @@ def empirical_density(samples, grid, bandwidth: float | None = None) -> np.ndarr
     out = np.empty(grid.shape)
     flat = grid.ravel()
     flat_out = out.reshape(-1)
-    for i, x in enumerate(flat):
-        lo = np.searchsorted(samples, x - 8.0 * bandwidth)
-        hi = np.searchsorted(samples, x + 8.0 * bandwidth)
+    los = np.searchsorted(samples, flat - 8.0 * bandwidth)
+    his = np.searchsorted(samples, flat + 8.0 * bandwidth)
+    # z and the kernel values of every window are formed in these two buffers
+    widest = int((his - los).max(initial=0))
+    z_buffer, kernel_buffer = np.empty(widest), np.empty(widest)
+    for i, (x, lo, hi) in enumerate(zip(flat, los, his)):
         if hi == lo:
             flat_out[i] = 0.0
             continue
-        z = (samples[lo:hi] - x) / bandwidth
-        flat_out[i] = norm * float(np.exp(-0.5 * z * z).sum())
+        z = np.subtract(samples[lo:hi], x, out=z_buffer[: hi - lo])
+        z /= bandwidth
+        kernel = np.multiply(z, -0.5, out=kernel_buffer[: hi - lo])
+        kernel *= z
+        np.exp(kernel, out=kernel)
+        flat_out[i] = norm * float(kernel.sum())
     return out

@@ -1,4 +1,9 @@
-"""Path simulation and elementary distribution theory for stationary AR(1)."""
+"""Path simulation and elementary distribution theory for stationary AR(1).
+
+paths_from_normals runs the AR recursion time-major, one vector of all rows
+per step; a caller that passes its own workspace gets the paths back in that
+time-major layout, as a transposed view, with no copy into rows.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import covariance_matrix
 from .params import Ar1Params
 
 __all__ = [
@@ -92,11 +96,12 @@ def paths_from_normals(
     path drawn in a block matches the standalone draw bit for bit.
 
     The recursion runs time-major: the innovations are copied transposed
-    into an (n, rows) workspace, each step updates one contiguous vector of
-    all rows as (mu + rho (x[t-1] - mu)) + sigma z[t], and the paths are
-    transposed back into a C-ordered array. Every value is the same float
-    operation sequence as a row-by-row recursion, so rows never depend on
-    how many other rows are passed along.
+    into an (n, rows) workspace and each step updates one contiguous vector
+    of all rows as (mu + rho (x[t-1] - mu)) + sigma z[t]. Given a workspace
+    and no out, the paths are returned as the workspace's transposed view,
+    time-major in memory; otherwise they are copied into a C-ordered array.
+    Every value is the same float operation sequence as a row-by-row
+    recursion, so rows never depend on how many other rows are passed along.
 
     Parameters
     ----------
@@ -108,7 +113,7 @@ def paths_from_normals(
         the paths; it may be ``normals`` itself.
     workspace : numpy.ndarray, optional
         Float array of shape (n, rows), overwritten; lets a caller reuse one
-        buffer across calls.
+        buffer across calls. Without out, the result is a view of it.
     """
     normals = np.asarray(normals, dtype=float)
     n = params.n
@@ -130,6 +135,8 @@ def paths_from_normals(
         step *= rho
         step += mu
         lanes[t] += step
+    if out is None and workspace is not None:
+        return lanes.T.reshape(normals.shape)
     paths = np.empty(normals.shape) if out is None else out
     paths.reshape(rows, n)[...] = lanes.T
     return paths
@@ -172,6 +179,8 @@ def linear_combination_law(params: Ar1Params, weights) -> NormalLaw:
         raise ValueError(f"weights must have shape ({params.n},), got {w.shape}")
     if not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite")
+    from .matrices import covariance_matrix  # only this law needs the dense matrix
+
     cov = covariance_matrix(params)
     variance = params.sigma**2 * float(w @ cov @ w)
     # roundoff can push an exact zero a hair negative

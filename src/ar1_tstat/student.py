@@ -6,6 +6,10 @@ panels and never obtains Gamma((k+1)/2) from the gamma function, so the two
 routes share no special-function machinery for the quantity under test;
 their agreement is a genuine cross-check, exercised at 1e-8 relative in
 tests. The module needs numpy only.
+
+Both the cdf and the gamma-kernel integral sum Gauss-Legendre panels
+(_panel_integrals). Their nodes are laid out node-major, 24 rows of all
+panels, so every vector operation runs along the long panel axis.
 """
 
 from __future__ import annotations
@@ -61,22 +65,27 @@ def _gamma_kernel_total(alpha: float, peak_log: float, refine: int) -> float:
     return math.fsum([*left, *right])
 
 
-def _panel_integrals(func, edges: np.ndarray) -> np.ndarray:
+def _panel_integrals(func, edges: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Gauss-Legendre integral of func over each panel between sorted edges.
 
     The panels are evaluated _PANEL_CHUNK (4,096) at a time into one result
-    array, so memory is bounded in the number of panels; each panel's
-    arithmetic is that of a single pass over all of them, bit for bit.
+    array (out, when given), so memory is bounded in the number of panels.
+    The nodes are built node-major, (24, panels), so each vector step runs
+    along the panels; one transposed copy puts func's values back in
+    (panels, 24) rows for the weight product. Each panel's arithmetic is
+    that of a single row-major pass over all of them, bit for bit.
     """
     count = edges.size - 1
-    out = np.empty(count)
+    if out is None:
+        out = np.empty(count)
     for start in range(0, count, _PANEL_CHUNK):
         stop = min(start + _PANEL_CHUNK, count)
         lo, hi = edges[start:stop], edges[start + 1 : stop + 1]
         half_width = 0.5 * (hi - lo)
-        mid = 0.5 * (lo + hi)
-        nodes = mid[:, None] + half_width[:, None] * _GL_NODES[None, :]
-        out[start:stop] = (func(nodes) @ _GL_WEIGHTS) * half_width
+        nodes = _GL_NODES[:, None] * half_width
+        nodes += 0.5 * (lo + hi)
+        values = func(nodes).T.copy()
+        np.multiply(values @ _GL_WEIGHTS, half_width, out=out[start:stop])
     return out
 
 
@@ -118,8 +127,13 @@ class StudentLaw:
             - math.lgamma(k / 2.0)
             - 0.5 * math.log(math.pi * k)
         )
-        log_kernel = -((k + 1.0) / 2.0) * np.log1p(t * t / k)
-        out = np.exp(log_norm + log_kernel)
+        # exp(log_norm - (k+1)/2 log1p(t^2/k)), formed in one buffer
+        out = np.multiply(t, t, out=np.empty(t.shape))
+        out /= k
+        np.log1p(out, out=out)
+        out *= -((k + 1.0) / 2.0)
+        out += log_norm
+        np.exp(out, out=out)
         return out if out.ndim else float(out)
 
     def density_integral(self, t):
@@ -217,7 +231,8 @@ class StudentLaw:
         edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
         cumulative = np.empty(edges.size)
         cumulative[0] = 0.0
-        np.cumsum(_panel_integrals(self.density_closed, edges), out=cumulative[1:])
+        panels = _panel_integrals(self.density_closed, edges, out=cumulative[1:])
+        np.cumsum(panels, out=panels)
         index = np.searchsorted(edges, mag)
         del edges
         half = cumulative[index]

@@ -1,4 +1,10 @@
-"""Location t-statistics for AR(1) paths, classical and whitened."""
+"""Location t-statistics for AR(1) paths, classical and whitened.
+
+row_statistics is the one statistic kernel. It takes rows in any memory
+layout: its row sums follow numpy's pairwise order whether the summed axis
+is contiguous or not, so the Monte Carlo engine's time-major tiles give the
+bits of C-ordered paths.
+"""
 
 from __future__ import annotations
 
@@ -14,6 +20,7 @@ __all__ = [
     "StatKind",
     "TStatResult",
     "DegenerateSampleError",
+    "row_means",
     "row_statistics",
     "t_statistic",
     "modified_t_statistic",
@@ -94,23 +101,82 @@ def _values_of(path_or_values) -> np.ndarray:
     return values
 
 
+# numpy's pairwise_sum unrolls runs of at most this many terms by 8
+_PW_BLOCKSIZE = 128
+
+
+def _lane_sums(lanes: np.ndarray) -> np.ndarray:
+    """Sums along axis 0 in the order of numpy's pairwise_sum.
+
+    Below 8 terms a sequential sum from 0.0; up to _PW_BLOCKSIZE terms 8
+    accumulators, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and the
+    remainder added in order; above it, the sums of two halves split at
+    n/2 rounded down to a multiple of 8. Every step is a vector operation
+    over the other axes, so a long axis 0 of short rows costs a few dozen
+    calls instead of one per row.
+    """
+    n = lanes.shape[0]
+    if n > _PW_BLOCKSIZE:
+        half = n // 2 - (n // 2) % 8
+        total = _lane_sums(lanes[:half])
+        total += _lane_sums(lanes[half:])
+        return total
+    done = n - n % 8
+    if done:
+        # numpy starts its 8 accumulators from the first 8 terms; a reduce
+        # starts them from 0.0, which changes at most the sign of an all-zero
+        # sum, and the final 0.0 + of _row_sums clears that sign again
+        r = lanes[:8]
+        if done > 8:
+            r = np.add.reduce(lanes[:done].reshape((done // 8, 8) + lanes.shape[1:]), axis=0)
+        r = r[0::2] + r[1::2]  # r0+r1, r2+r3, r4+r5, r6+r7
+        r = r[0::2] + r[1::2]
+        total = r[0] + r[1]
+    else:
+        total = np.zeros(lanes.shape[1:])
+    for term in lanes[done:]:
+        total += term
+    return total
+
+
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    """Sums along the last axis, bit for bit those of np.add.reduce on a
+    C-ordered copy of rows, in whatever layout rows come.
+
+    numpy sums a contiguous axis pairwise but any other axis sequentially,
+    so a strided last axis (an engine tile's time-major lanes) runs
+    _lane_sums; the final 0.0 + is numpy's reduction identity.
+    """
+    if rows.strides[-1] == rows.itemsize:
+        return np.add.reduce(rows, axis=-1)
+    total = _lane_sums(rows.T).T  # rows.T leads with the summed axis
+    return np.add(0.0, total, out=total)
+
+
+def row_means(rows: np.ndarray) -> np.ndarray:
+    """Sample mean of each row (last axis): the kernel's mean step."""
+    return _row_sums(rows) / rows.shape[-1]
+
+
 def row_statistics(
     rows: np.ndarray, mu: float, *, overwrite_rows: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample mean, Bessel variance and t-value of each row (last axis).
 
     The one statistic kernel, for single paths (as 1-row arrays) and for
-    engine tiles alike. Two passes, mean first and then the centered sum
-    of squares: the one-pass update loses digits once mean^2 dominates the
+    engine tiles alike, in any memory layout: the row sums follow numpy's
+    pairwise order (_row_sums), so a time-major tile gives the bits of its
+    C-ordered copy. Two passes, mean first and then the centered sum of
+    squares: the one-pass update loses digits once mean^2 dominates the
     variance. The t-value sqrt(n) (mean - mu) / s is NaN where s is 0.
     With overwrite_rows, the squared deviations are formed in rows itself
     instead of in a temporary of its size.
     """
     n = rows.shape[-1]
-    means = rows.mean(axis=-1)
+    means = row_means(rows)
     centered = np.subtract(rows, means[..., None], out=rows if overwrite_rows else None)
     centered *= centered
-    bessel = centered.sum(axis=-1) / (n - 1)
+    bessel = _row_sums(centered) / (n - 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         values = math.sqrt(n) * (means - mu) / np.sqrt(bessel)
     values[bessel == 0.0] = np.nan

@@ -639,12 +639,12 @@ _SMALL_SIMULATION = ["--n", "5", "--rho", "0.3", "--reps", "500", "--seed", "3"]
         (
             ["density", "--functional", "tstat", *_SMALL_SIMULATION, "--grid-t", "0,1"],
             ("montecarlo", "process", "tstat"),
-            ("moments", "verification", "oracle"),
+            ("moments", "verification", "oracle", "matrices"),
         ),
         (
             ["simulate", "--functional", "tstat", *_SMALL_SIMULATION],
             _SIMULATION_MODULES,
-            ("moments", "verification", "oracle"),
+            ("moments", "verification", "oracle", "matrices"),
         ),
     ],
     ids=["import-cli", "table-moments", "verify", "density-law", "density-kde", "simulate"],

@@ -101,6 +101,16 @@ def test_paths_from_normals_reuses_out_and_workspace():
         paths_from_normals(p, z, out=np.empty((5, 11)))
 
 
+def test_paths_from_normals_returns_the_workspace_view():
+    # a workspace and no out: the paths stay in the time-major lanes
+    p = Ar1Params(mu=-0.2, sigma=0.8, rho=0.7, n=11)
+    z = stream_generator(3, 1).standard_normal((6, 11))
+    workspace = np.empty((11, 6))
+    got = paths_from_normals(p, z, workspace=workspace)
+    assert np.shares_memory(got, workspace) and got.T.flags.c_contiguous
+    assert np.array_equal(got, paths_from_normals(p, z))
+
+
 def test_tiled_draw_equals_one_shot_draw():
     # Philox is counter-based: drawing a block tile by tile into one reused
     # buffer gives the normals of one (rows, n) draw

@@ -18,7 +18,7 @@ from ar1_tstat import (
     whitened_mean,
     whitening_matrix,
 )
-from ar1_tstat.tstat import row_statistics
+from ar1_tstat.tstat import _row_sums, row_statistics
 
 
 def test_t_statistic_hand_computation():
@@ -101,6 +101,58 @@ def test_row_statistics_overwrite_rows_keeps_bits():
     got = row_statistics(scratch, 0.5, overwrite_rows=True)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert not np.array_equal(scratch, x)
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+_SUM_LENGTHS = [*range(1, 301), 511, 512, 513, 1000, 8191, 8192, 8193, 100_000]
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_row_sums_follow_numpy_pairwise_order(rows):
+    # magnitudes spread over ten decades, so any other summation order
+    # shows in the last bits; an F-ordered input is a time-major tile
+    rng = np.random.default_rng(rows)
+    for n in _SUM_LENGTHS:
+        x = rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(-5.0, 5.0, (rows, n))
+        want = np.add.reduce(x, axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):  # n = 1 has no variance
+            stats = row_statistics(x, 0.25)
+        assert _bits(stats[0]) == _bits(want / n)
+        for layout in (x, np.asfortranarray(x)):
+            assert _bits(_row_sums(layout)) == _bits(want), n
+            with np.errstate(divide="ignore", invalid="ignore"):
+                got = row_statistics(layout, 0.25)
+                in_place = row_statistics(layout.copy(order="K"), 0.25, overwrite_rows=True)
+            assert all(_bits(a) == _bits(b) for a, b in zip(got, stats)), n
+            assert all(_bits(a) == _bits(b) for a, b in zip(in_place, stats)), n
+
+
+def test_row_sums_of_stacked_time_major_rows():
+    x = np.random.default_rng(5).standard_normal((3, 4, 300))
+    assert _bits(_row_sums(np.asfortranarray(x))) == _bits(np.add.reduce(x, axis=-1))
+
+
+@pytest.mark.parametrize("n", [2, 7, 8, 13, 128, 129, 300])
+def test_row_sums_keep_signed_zero_and_non_finite_bits(n):
+    x = np.random.default_rng(n).standard_normal((7, n))
+    x[0] = -0.0
+    x[1] = 0.0
+    x[2, n // 2] = np.inf
+    x[3, 0] = np.nan
+    x[4, [0, -1]] = np.inf, -np.inf
+    x[5, :-1] = -0.0
+    x[6, -1] = -np.inf
+    with np.errstate(invalid="ignore"):
+        want = np.add.reduce(x, axis=-1)
+        stats = row_statistics(x, 0.0)
+        # C order, F order, and a last axis with a stride of two elements
+        for layout in (x, np.asfortranarray(x), np.repeat(x, 2, axis=-1)[:, ::2]):
+            assert _bits(_row_sums(layout)) == _bits(want)
+            got = row_statistics(layout, 0.0)
+            assert all(_bits(a) == _bits(b) for a, b in zip(got, stats))
 
 
 def test_whitening_gives_identity_covariance():
