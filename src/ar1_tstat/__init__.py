@@ -32,7 +32,6 @@ _EXPORTS = {
         "cholesky_perturbation",
         "precision_matrix",
         "whitening_matrix",
-        "is_positive_definite",
     ),
     "process": (
         "NormalLaw",
@@ -40,7 +39,6 @@ _EXPORTS = {
         "stream_generator",
         "paths_from_normals",
         "simulate_path",
-        "stationary_covariance",
         "linear_combination_law",
     ),
     "oracle": (
@@ -87,7 +85,6 @@ _EXPORTS = {
         "simulate_functional",
         "sample_paths",
         "summarize",
-        "estimate_moments",
         "ks_test",
         "silverman_bandwidth",
         "empirical_density",

@@ -23,7 +23,6 @@ __all__ = [
     "cholesky_perturbation",
     "precision_matrix",
     "whitening_matrix",
-    "is_positive_definite",
 ]
 
 
@@ -100,12 +99,3 @@ def whitening_matrix(params: Ar1Params) -> np.ndarray:
     sub = np.arange(n - 1)
     wh[sub + 1, sub] = -rho
     return wh
-
-
-def is_positive_definite(matrix: np.ndarray) -> bool:
-    """True when a symmetric matrix has all Cholesky pivots positive."""
-    try:
-        np.linalg.cholesky(np.asarray(matrix, dtype=float))
-    except np.linalg.LinAlgError:
-        return False
-    return True

@@ -38,7 +38,6 @@ __all__ = [
     "pool_layout",
     "simulate_functional",
     "sample_paths",
-    "estimate_moments",
     "summarize",
     "ks_test",
     "empirical_density",
@@ -213,11 +212,6 @@ def summarize(values) -> EmpiricalSummary:
         replications=r,
         degenerate=degenerate,
     )
-
-
-def estimate_moments(config: SimulationConfig, functional: Functional) -> EmpiricalSummary:
-    """Simulate the functional and summarize it in one step."""
-    return summarize(simulate_functional(config, functional))
 
 
 def _kolmogorov_sf(x: float) -> float:

@@ -65,7 +65,6 @@ class QuadraticForm:
     """
 
     matrix: np.ndarray
-    label: str = ""
 
     def __post_init__(self) -> None:
         q = np.array(self.matrix, dtype=float)
@@ -80,11 +79,6 @@ class QuadraticForm:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def evaluate(self, y) -> float:
-        """The scalar y' Q y."""
-        y = np.asarray(y, dtype=float)
-        return float(y @ self.matrix @ y)
-
 
 @functools.lru_cache(maxsize=1)
 def centering_form(n: int) -> QuadraticForm:
@@ -97,7 +91,7 @@ def centering_form(n: int) -> QuadraticForm:
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
     q = (np.eye(n) - np.full((n, n), 1.0 / n)) / (n - 1)
-    return QuadraticForm(q, label="sample variance")
+    return QuadraticForm(q)
 
 
 def _scale(params: Ar1Params) -> np.longdouble:
@@ -143,12 +137,15 @@ def _check_dim(form: QuadraticForm, params: Ar1Params) -> None:
         raise ValueError(f"form has dim {form.dim}, params have n = {params.n}")
 
 
+def _trace_of_product(form: QuadraticForm, params: Ar1Params) -> np.longdouble:
+    # tr(Q S) without forming the product: sum of Q entrywise times S.T
+    return (form.matrix.astype(_LD) * _covariance_extended(params).T).sum()
+
+
 def form_mean(form: QuadraticForm, params: Ar1Params) -> float:
     """E[Y' Q Y] = tr(Q S) for the centered path covariance S = sigma^2 Omega."""
     _check_dim(form, params)
-    cov = _covariance_extended(params)
-    # tr(Q S) without forming the product: sum of Q entrywise times S.T
-    return float((form.matrix.astype(_LD) * cov.T).sum())
+    return float(_trace_of_product(form, params))
 
 
 @functools.lru_cache(maxsize=1)
@@ -167,8 +164,7 @@ def form_variance(form: QuadraticForm, params: Ar1Params) -> float:
 def form_second_moment(form: QuadraticForm, params: Ar1Params) -> float:
     """E[(Y' Q Y)^2] = (tr Q S)^2 + 2 tr((Q S)^2)."""
     _check_dim(form, params)
-    cov = _covariance_extended(params)
-    mean = (form.matrix.astype(_LD) * cov.T).sum()
+    mean = _trace_of_product(form, params)
     return float(mean * mean + _LD(2.0) * _trace_of_square(form, params))
 
 

@@ -1,8 +1,8 @@
 """Path simulation and elementary distribution theory for stationary AR(1).
 
 paths_from_normals runs the AR recursion time-major, one vector of all rows
-per step; a caller that passes its own workspace gets the paths back in that
-time-major layout, as a transposed view, with no copy into rows.
+per step, and returns the paths in that layout, as a transposed view of its
+lanes (its own or a caller's workspace), with no copy into rows.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ __all__ = [
     "NormalLaw",
     "SamplePath",
     "simulate_path",
-    "stationary_covariance",
     "linear_combination_law",
     "paths_from_normals",
     "stream_generator",
@@ -85,7 +84,6 @@ def paths_from_normals(
     params: Ar1Params,
     normals: np.ndarray,
     *,
-    out: np.ndarray | None = None,
     workspace: np.ndarray | None = None,
 ) -> np.ndarray:
     """Turn standard-normal innovations into AR(1) paths along the last axis.
@@ -97,9 +95,9 @@ def paths_from_normals(
 
     The recursion runs time-major: the innovations are copied transposed
     into an (n, rows) workspace and each step updates one contiguous vector
-    of all rows as (mu + rho (x[t-1] - mu)) + sigma z[t]. Given a workspace
-    and no out, the paths are returned as the workspace's transposed view,
-    time-major in memory; otherwise they are copied into a C-ordered array.
+    of all rows as (mu + rho (x[t-1] - mu)) + sigma z[t]. The paths come
+    back as the workspace's transposed view, in the innovations' shape and
+    time-major in memory; a caller that needs rows contiguous copies it.
     Every value is the same float operation sequence as a row-by-row
     recursion, so rows never depend on how many other rows are passed along.
 
@@ -108,19 +106,14 @@ def paths_from_normals(
     params : Ar1Params
     normals : numpy.ndarray
         Array whose last axis has length params.n.
-    out : numpy.ndarray, optional
-        C-contiguous float array of the innovations' shape that receives
-        the paths; it may be ``normals`` itself.
     workspace : numpy.ndarray, optional
         Float array of shape (n, rows), overwritten; lets a caller reuse one
-        buffer across calls. Without out, the result is a view of it.
+        buffer across calls. The result is a view of it.
     """
     normals = np.asarray(normals, dtype=float)
     n = params.n
     if normals.shape[-1] != n:
         raise ValueError(f"innovations have last axis {normals.shape[-1]}, expected {n}")
-    if out is not None and (out.shape != normals.shape or not out.flags.c_contiguous):
-        raise ValueError(f"out must be a C-contiguous array of shape {normals.shape}")
     rows = normals.size // n
     lanes = np.empty((n, rows)) if workspace is None else workspace
     lanes[...] = normals.reshape(rows, n).T
@@ -135,11 +128,7 @@ def paths_from_normals(
         step *= rho
         step += mu
         lanes[t] += step
-    if out is None and workspace is not None:
-        return lanes.T.reshape(normals.shape)
-    paths = np.empty(normals.shape) if out is None else out
-    paths.reshape(rows, n)[...] = lanes.T
-    return paths
+    return lanes.T.reshape(normals.shape)
 
 
 def simulate_path(params: Ar1Params, seed: int, stream: int = 0) -> SamplePath:
@@ -147,14 +136,6 @@ def simulate_path(params: Ar1Params, seed: int, stream: int = 0) -> SamplePath:
     rng = stream_generator(seed, stream)
     normals = rng.standard_normal(params.n)
     return SamplePath(paths_from_normals(params, normals), params, int(seed), int(stream))
-
-
-def stationary_covariance(params: Ar1Params, t: int, u: int) -> float:
-    """Cov(X_t, X_u) = sigma^2 rho^|t-u| / (1 - rho^2) for 1-based t, u."""
-    for label, k in (("t", t), ("u", u)):
-        if not 1 <= k <= params.n:
-            raise ValueError(f"{label} must lie in 1..{params.n}, got {k}")
-    return params.marginal_variance * params.rho ** abs(t - u)
 
 
 def linear_combination_law(params: Ar1Params, weights) -> NormalLaw:

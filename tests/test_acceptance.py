@@ -18,12 +18,12 @@ from ar1_tstat import (
     StudentLaw,
     covariance_cholesky,
     covariance_matrix,
-    estimate_moments,
     ks_test,
     mean_covariance_profile,
     mean_of_sample_variance,
     precision_matrix,
     simulate_functional,
+    summarize,
     variance_of_scaled_mean,
     variance_of_scaled_mean_regrouped,
     whitening_matrix,
@@ -144,7 +144,7 @@ def test_criterion_5_fourth_moments():
         for rho in (-0.8, 0.0, 0.8):
             p = Ar1Params(mu=0.0, sigma=1.0, rho=rho, n=n)
             cfg = SimulationConfig(params=p, replications=1_000_000, seed=SEED, workers=1)
-            s = estimate_moments(cfg, Functional.SAMPLE_VARIANCE)
+            s = summarize(simulate_functional(cfg, Functional.SAMPLE_VARIANCE))
             q = centering_form(n)
             worst_z = max(
                 worst_z,

@@ -354,6 +354,13 @@ PINNED_OUTPUT_DIGESTS = [
         False,
     ),
     (
+        # 82 of its t(1) values lie beyond |t| = 30, in the cdf's tail sum
+        "mtstat.csv",
+        "simulate --functional mtstat --n 2 --rho 0.9 --reps 5000 --seed 5",
+        "ad671bd010a3ddd90b39b15fb8ba8aab462a59f17c4c2294949577ba75209047",
+        False,
+    ),
+    (
         "kde.csv",
         "density --functional tstat --n 10 --rho 0.8 --reps 20000 --seed 314 "
         "--grid-t=-6:6:0.1",
@@ -646,8 +653,17 @@ _SMALL_SIMULATION = ["--n", "5", "--rho", "0.3", "--reps", "500", "--seed", "3"]
             _SIMULATION_MODULES,
             ("moments", "verification", "oracle", "matrices"),
         ),
+        (
+            # the sample mean's reference law is the one use of the dense matrix
+            ["simulate", "--functional", "mean", *_SMALL_SIMULATION],
+            (*_SIMULATION_MODULES, "matrices"),
+            ("moments", "verification", "oracle"),
+        ),
     ],
-    ids=["import-cli", "table-moments", "verify", "density-law", "density-kde", "simulate"],
+    ids=[
+        "import-cli", "table-moments", "verify", "density-law", "density-kde", "simulate",
+        "simulate-mean",
+    ],
 )
 def test_each_command_loads_only_its_modules(tmp_path, argv, loaded, absent):
     if argv is not None:

@@ -20,7 +20,8 @@ def _row_major_values(params, seed, blocks, functional):
     n, parts = params.n, []
     for block, rows in blocks:
         tile = stream_generator(seed, block).standard_normal((rows, n))
-        paths = paths_from_normals(params, tile, out=tile)
+        # a C-ordered copy: numpy sums a strided row in another order
+        paths = paths_from_normals(params, tile).copy()
         if functional is Functional.MODIFIED_T_STAT:
             paths = whiten(paths, params.rho)
         means = paths.mean(axis=-1)

@@ -8,7 +8,6 @@ from ar1_tstat import (
     cholesky_perturbation,
     covariance_cholesky,
     covariance_matrix,
-    is_positive_definite,
     precision_matrix,
     whitening_matrix,
 )
@@ -108,10 +107,3 @@ def test_sigma_scaling_is_applied_outside():
     p1 = _params(5, 0.5)
     p2 = Ar1Params(mu=0.0, sigma=3.0, rho=0.5, n=5)
     assert np.array_equal(covariance_matrix(p1), covariance_matrix(p2))
-
-
-def test_is_positive_definite():
-    assert is_positive_definite(covariance_matrix(_params(20, 0.9)))
-    assert is_positive_definite(np.eye(3))
-    assert not is_positive_definite(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    assert not is_positive_definite(np.zeros((2, 2)))

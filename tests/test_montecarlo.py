@@ -13,7 +13,6 @@ from ar1_tstat import (
     SimulationConfig,
     StudentLaw,
     empirical_density,
-    estimate_moments,
     ks_test,
     modified_t_statistic,
     paths_from_normals,
@@ -184,13 +183,6 @@ def test_summarize_needs_two_values():
         summarize(np.array([np.nan, 1.0]))
 
 
-def test_estimate_moments_matches_simulate_plus_summarize():
-    cfg = _config(5000)
-    direct = summarize(simulate_functional(cfg, Functional.SAMPLE_VARIANCE))
-    est = estimate_moments(cfg, Functional.SAMPLE_VARIANCE)
-    assert est == direct
-
-
 def test_kolmogorov_sf_against_scipy():
     for x in (0.3, 0.5, 0.8, 1.0, 1.36, 2.0):
         assert _kolmogorov_sf(x) == pytest.approx(stats.kstwobign.sf(x), rel=1e-9)
@@ -317,7 +309,7 @@ def test_sample_variance_moments_within_four_se(n, rho):
     from ar1_tstat.oracle import centering_form, form_mean, form_variance
 
     cfg = _config(200_000, rho=rho, n=n, seed=515)
-    s = estimate_moments(cfg, Functional.SAMPLE_VARIANCE)
+    s = summarize(simulate_functional(cfg, Functional.SAMPLE_VARIANCE))
     p = cfg.params
     q = centering_form(n)
     assert abs(s.mean - form_mean(q, p)) < 4 * s.std_error_mean

@@ -43,7 +43,7 @@ def test_quadratic_form_requires_symmetry():
 def test_quadratic_form_evaluate():
     q = QuadraticForm(np.array([[2.0, 1.0], [1.0, 3.0]]))
     y = np.array([1.0, -1.0])
-    assert q.evaluate(y) == pytest.approx(2.0 - 2.0 + 3.0, rel=1e-15)
+    assert y @ q.matrix @ y == pytest.approx(2.0 - 2.0 + 3.0, rel=1e-15)
     assert q.dim == 2
 
 
@@ -60,7 +60,7 @@ def test_centering_form_structure():
 def test_centering_form_is_the_bessel_variance():
     q = centering_form(5)
     y = np.array([0.4, -1.0, 2.2, 0.3, -0.9])
-    assert q.evaluate(y) == pytest.approx(np.var(y, ddof=1), rel=1e-14)
+    assert y @ q.matrix @ y == pytest.approx(np.var(y, ddof=1), rel=1e-14)
 
 
 def test_form_mean_iid_case():

@@ -11,7 +11,6 @@ from ar1_tstat import (
     linear_combination_law,
     paths_from_normals,
     simulate_path,
-    stationary_covariance,
     stream_generator,
 )
 
@@ -78,37 +77,23 @@ def test_time_major_recursion_equals_row_by_row_bitwise(rho):
     assert np.array_equal(paths_from_normals(p, z[7]), _row_by_row_paths(p, z[7]))
 
 
-def test_paths_from_normals_is_c_ordered():
-    p = Ar1Params(mu=0.0, sigma=1.0, rho=0.5, n=9)
-    z = stream_generator(1, 0).standard_normal((12, 9))
-    assert paths_from_normals(p, z).flags.c_contiguous
-    # a transposed (F-ordered) input still gives C-ordered paths
-    assert paths_from_normals(p, np.asfortranarray(z)).flags.c_contiguous
-
-
-def test_paths_from_normals_reuses_out_and_workspace():
-    p = Ar1Params(mu=-0.2, sigma=0.8, rho=0.7, n=11)
-    z = stream_generator(3, 1).standard_normal((6, 11))
-    want = paths_from_normals(p, z)
-    workspace = np.full((11, 6), np.nan)
-    tile = z.copy()
-    got = paths_from_normals(p, tile, out=tile, workspace=workspace)
-    assert got is tile
-    assert np.array_equal(got, want)
-    with pytest.raises(ValueError):
-        paths_from_normals(p, z, out=np.empty((6, 11), order="F"))
-    with pytest.raises(ValueError):
-        paths_from_normals(p, z, out=np.empty((5, 11)))
-
-
 def test_paths_from_normals_returns_the_workspace_view():
-    # a workspace and no out: the paths stay in the time-major lanes
+    # the paths stay in the time-major lanes: the caller's workspace, which
+    # is overwritten whole, or the function's own
     p = Ar1Params(mu=-0.2, sigma=0.8, rho=0.7, n=11)
     z = stream_generator(3, 1).standard_normal((6, 11))
-    workspace = np.empty((11, 6))
+    want = _row_by_row_paths(p, z)
+    workspace = np.full((11, 6), np.nan)
     got = paths_from_normals(p, z, workspace=workspace)
     assert np.shares_memory(got, workspace) and got.T.flags.c_contiguous
-    assert np.array_equal(got, paths_from_normals(p, z))
+    assert np.array_equal(got, want)
+    # C- and F-ordered input alike give a view of fresh (n, rows) lanes
+    for normals in (z, np.asfortranarray(z)):
+        got = paths_from_normals(p, normals)
+        assert got.shape == (6, 11) and got.T.flags.c_contiguous
+        assert got.base is not None and got.base.shape == (11, 6)
+        assert not np.shares_memory(got, normals)
+        assert np.array_equal(got, want)
 
 
 def test_tiled_draw_equals_one_shot_draw():
@@ -144,23 +129,6 @@ def test_sample_path_read_only():
     path = simulate_path(p, seed=0, stream=0)
     with pytest.raises(ValueError):
         path.values[0] = 99.0
-
-
-def test_stationary_covariance_matches_matrix():
-    p = Ar1Params(mu=0.0, sigma=1.3, rho=0.7, n=6)
-    om = covariance_matrix(p)
-    for t in range(1, 7):
-        for u in range(1, 7):
-            want = 1.3**2 * om[t - 1, u - 1]
-            assert stationary_covariance(p, t, u) == pytest.approx(want, rel=1e-14)
-
-
-def test_stationary_covariance_index_bounds():
-    p = Ar1Params(mu=0.0, sigma=1.0, rho=0.0, n=4)
-    with pytest.raises(ValueError):
-        stationary_covariance(p, 0, 1)
-    with pytest.raises(ValueError):
-        stationary_covariance(p, 1, 5)
 
 
 def test_normal_law_validation():
