@@ -8,14 +8,15 @@ is replication b * BLOCK_SIZE + r, and simulate_path(params, seed,
 stream=b) reproduces row 0 of block b exactly, which makes any single
 replication auditable in isolation.
 
-Each block is streamed through row tiles of about TILE_NORMALS normals:
-the draw, recursion, whitening and statistic kernel run one tile at a
-time in buffers a worker reuses for all its blocks, so memory is bounded
-by the tile, not by BLOCK_SIZE x n. Philox is counter-based, so drawing a
-block tile by tile yields the same normals as one draw of the block. From
-the recursion on, a tile stays in time-major (n, rows) lanes: whitening and
-the statistic kernel run along the long rows axis, and the kernel sums in
-numpy's pairwise order, so every value has the bits of a row-major tile.
+Each block is streamed through row tiles of about TILE_NORMALS normals.
+A worker holds one tile buffer, the time-major (n, rows) lanes, and a draw
+stage of at most TILE_NORMALS // 8 normals, and reuses both for all its
+blocks, so memory is bounded by one tile, not by BLOCK_SIZE x n. Philox is
+counter-based, so drawing a block stage by stage yields the same normals
+as one draw of the block. Each stage slice is copied transposed into the
+lanes, and from there the recursion, whitening and statistic kernel run
+in place along the long rows axis; the kernel sums in numpy's pairwise
+order, so every value has the bits of a row-major tile.
 The sample-mean functional runs only the kernel's mean step.
 """
 
@@ -109,24 +110,29 @@ def pool_layout(config: SimulationConfig) -> tuple[list[tuple[int, int]], int]:
 def _path_tiles(params: Ar1Params, seed: int, blocks: list[tuple[int, int]]):
     """Paths of the given (block, rows) pairs, one tile at a time.
 
-    Yields (offset, paths, spare): offset is the tile's first row counted
-    from the start of the first block; paths is an (m, n) view of the
-    recursion's time-major (n, m) lanes, and spare an (m, n) view of the
-    same layout on the now-free draw buffer. Every tile reuses the same
-    two buffers, so both are valid only until the next tile.
+    Yields (offset, paths): offset is the tile's first row counted from the
+    start of the first block, and paths an (m, n) view of the tile's
+    time-major (n, m) lanes. A tile is drawn through a stage of at most
+    TILE_NORMALS // 8 normals (one row if n is larger, never more than the
+    tile), each slice copied transposed into its columns of the lanes; the
+    recursion then runs in the lanes in place. Every tile reuses the same
+    lanes, so paths are valid only until the next tile.
     """
     n = params.n
     tile_rows = min(BLOCK_SIZE, max(1, TILE_NORMALS // n))
-    draws = np.empty(tile_rows * n)
+    stage_rows = min(tile_rows, max(1, TILE_NORMALS // 8 // n))
+    stage = np.empty(stage_rows * n)
     lanes = np.empty(tile_rows * n)
     offset = 0
     for block, rows in blocks:
         rng = stream_generator(seed, block)
         for start in range(0, rows, tile_rows):
             m = min(tile_rows, rows - start)
-            tile = rng.standard_normal(out=draws[: m * n].reshape(m, n))
-            paths = paths_from_normals(params, tile, workspace=lanes[: m * n].reshape(n, m))
-            yield offset, paths, draws[: m * n].reshape(n, m).T
+            tile = lanes[: m * n].reshape(n, m)
+            for lo in range(0, m, stage_rows):
+                k = min(stage_rows, m - lo)
+                tile[:, lo : lo + k] = rng.standard_normal(out=stage[: k * n].reshape(k, n)).T
+            yield offset, paths_from_normals(params, tile.T, workspace=tile)
             offset += m
 
 
@@ -134,9 +140,9 @@ def _functional_blocks(
     params: Ar1Params, seed: int, blocks: list[tuple[int, int]], functional: Functional
 ) -> np.ndarray:
     values = np.empty(sum(rows for _, rows in blocks))
-    for offset, paths, spare in _path_tiles(params, seed, blocks):
+    for offset, paths in _path_tiles(params, seed, blocks):
         if functional is Functional.MODIFIED_T_STAT:
-            paths = whiten(paths, params.rho, out=spare)
+            whiten(paths, params.rho, out=paths)
         if functional is Functional.SAMPLE_MEAN:
             column = row_means(paths)
         else:
@@ -180,7 +186,7 @@ def sample_paths(config: SimulationConfig) -> np.ndarray:
     """All replication paths as a (replications, n) array, block order."""
     blocks = _block_layout(config.replications)
     paths = np.empty((config.replications, config.params.n))
-    for offset, tile, _ in _path_tiles(config.params, config.seed, blocks):
+    for offset, tile in _path_tiles(config.params, config.seed, blocks):
         paths[offset : offset + len(tile)] = tile
     return paths
 

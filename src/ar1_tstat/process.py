@@ -2,7 +2,9 @@
 
 paths_from_normals runs the AR recursion time-major, one vector of all rows
 per step, and returns the paths in that layout, as a transposed view of its
-lanes (its own or a caller's workspace), with no copy into rows.
+lanes (its own or a caller's workspace), with no copy into rows. A caller
+that draws the innovations straight into its workspace has the recursion
+run in place there.
 """
 
 from __future__ import annotations
@@ -95,11 +97,13 @@ def paths_from_normals(
 
     The recursion runs time-major: the innovations are copied transposed
     into an (n, rows) workspace and each step updates one contiguous vector
-    of all rows as (mu + rho (x[t-1] - mu)) + sigma z[t]. The paths come
-    back as the workspace's transposed view, in the innovations' shape and
-    time-major in memory; a caller that needs rows contiguous copies it.
-    Every value is the same float operation sequence as a row-by-row
-    recursion, so rows never depend on how many other rows are passed along.
+    of all rows as (mu + rho (x[t-1] - mu)) + sigma z[t]. Innovations that
+    already sit in the workspace (normals is workspace.T) are not copied:
+    the recursion runs on them in place. The paths come back as the
+    workspace's transposed view, in the innovations' shape and time-major
+    in memory; a caller that needs rows contiguous copies it. Every value
+    is the same float operation sequence as a row-by-row recursion, so
+    rows never depend on how many other rows are passed along.
 
     Parameters
     ----------
@@ -107,16 +111,31 @@ def paths_from_normals(
     normals : numpy.ndarray
         Array whose last axis has length params.n.
     workspace : numpy.ndarray, optional
-        Float array of shape (n, rows), overwritten; lets a caller reuse one
-        buffer across calls. The result is a view of it.
+        float64 array of shape (n, rows), overwritten; lets a caller reuse
+        one buffer across calls. The result is a view of it. Any other
+        dtype or shape, or a partial overlap with normals, raises
+        ValueError.
     """
     normals = np.asarray(normals, dtype=float)
     n = params.n
     if normals.shape[-1] != n:
         raise ValueError(f"innovations have last axis {normals.shape[-1]}, expected {n}")
     rows = normals.size // n
-    lanes = np.empty((n, rows)) if workspace is None else workspace
-    lanes[...] = normals.reshape(rows, n).T
+    if workspace is None:
+        lanes = np.empty((n, rows))
+    elif workspace.dtype != np.float64 or workspace.shape != (n, rows):
+        raise ValueError(
+            f"workspace must be float64 of shape {(n, rows)}, "
+            f"got {workspace.dtype} of shape {workspace.shape}"
+        )
+    else:
+        lanes = workspace
+    staged = normals.reshape(rows, n).T
+    # equal interfaces (address, shape, strides): normals is workspace.T
+    if staged.__array_interface__ != lanes.__array_interface__:
+        if np.may_share_memory(staged, lanes):
+            raise ValueError("workspace overlaps the innovations only in part")
+        lanes[...] = staged
     mu, sigma, rho = params.mu, params.sigma, params.rho
     # in-place updates swap the operands of + and *, which IEEE keeps exact
     lanes[0] *= sigma / math.sqrt(1.0 - rho * rho)

@@ -60,23 +60,47 @@ def noncentrality(params: Ar1Params) -> float:
     return math.sqrt(params.n) * params.mu / params.sigma
 
 
+# bytes of the lagged-step temporary of an in-place whiten
+_WHITEN_BLOCK_BYTES = 2**17
+
+
 def whiten(values: np.ndarray, rho: float, *, out: np.ndarray | None = None) -> np.ndarray:
     """Apply the bidiagonal decorrelating map along the last axis.
 
     Equivalent to multiplying by whitening_matrix in O(n): the first
     coordinate is scaled by sqrt(1 - rho^2) and each later coordinate
     becomes X_i - rho * X_{i-1}. Accepts stacked paths (any leading axes).
-    out, a float array of the same shape that does not overlap values,
-    receives the result; no temporary of that size is made.
+
+    out, a float64 array of the shape of values, receives the result; no
+    temporary of that size is made. out may be values itself: the map then
+    runs backward from the last time step, a block of steps at a time, so
+    each block reads its lagged step before that step is overwritten, and
+    the temporary holds one block (about _WHITEN_BLOCK_BYTES). The bits are
+    those of the out-of-place map. Any other dtype or shape of out, or an
+    out that overlaps values without being it, raises ValueError.
     """
     values = np.asarray(values, dtype=float)
     if out is None:
         out = np.empty_like(values)
-    elif np.may_share_memory(out, values):
-        raise ValueError("whiten's out must not overlap its input")
+    elif out.dtype != np.float64 or out.shape != values.shape:
+        raise ValueError(
+            f"whiten's out must be float64 of shape {values.shape}, "
+            f"got {out.dtype} of shape {out.shape}"
+        )
+    elif out is not values and np.may_share_memory(out, values):
+        raise ValueError("whiten's out must be its input or not overlap it")
+    n = values.shape[-1]
+    steps, lagged = max(1, n - 1), None  # out of place: one block, formed in out
+    if out is values:
+        rows = max(1, values.size // n)
+        steps = max(1, min(n - 1, _WHITEN_BLOCK_BYTES // (values.itemsize * rows)))
+        lagged = np.empty_like(values[..., :steps])  # in the layout of values
+    for hi in range(n, 1, -steps):
+        lo = max(1, hi - steps)
+        scaled = out[..., lo:hi] if lagged is None else lagged[..., : hi - lo]
+        np.multiply(values[..., lo - 1 : hi - 1], rho, out=scaled)
+        np.subtract(values[..., lo:hi], scaled, out=out[..., lo:hi])
     np.multiply(values[..., 0], math.sqrt(1.0 - rho * rho), out=out[..., 0])
-    np.multiply(values[..., :-1], rho, out=out[..., 1:])
-    np.subtract(values[..., 1:], out[..., 1:], out=out[..., 1:])
     return out
 
 

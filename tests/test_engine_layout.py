@@ -36,23 +36,64 @@ def _row_major_values(params, seed, blocks, functional):
     return np.concatenate(parts)
 
 
-@pytest.mark.parametrize("tile_normals", [montecarlo.TILE_NORMALS, 3001])
-@pytest.mark.parametrize("n", [2, 7, 8, 9, 10, 127, 128, 129, 257, 1000])
-def test_time_major_tiles_equal_row_major_reference(monkeypatch, n, tile_normals):
-    # with 3,001 normals per tile, tiles hold from 1,500 rows (n=2) down to
-    # 3 (n=1000) and never divide a block
-    monkeypatch.setattr(montecarlo, "TILE_NORMALS", tile_normals)
-    params = Ar1Params(mu=0.3, sigma=1.3, rho=0.8, n=n)
-    blocks = [(0, montecarlo.BLOCK_SIZE), (1, 300)] if n <= 10 else [(0, 200), (3, 100)]
+def _assert_row_major_bits(params, blocks):
     for functional in Functional:
         got = montecarlo._functional_blocks(params, 314, blocks, functional)
         want = _row_major_values(params, 314, blocks, functional)
         assert got.tobytes() == want.tobytes(), functional
 
 
-def test_tiles_stay_time_major():
-    params = Ar1Params(mu=0.3, sigma=1.0, rho=0.5, n=10)
-    for _, paths, spare in montecarlo._path_tiles(params, 1, [(0, 50)]):
-        assert paths.shape == spare.shape == (50, 10)
-        assert paths.T.flags.c_contiguous and spare.T.flags.c_contiguous
-        assert not np.may_share_memory(paths, spare)
+@pytest.mark.parametrize("tile_normals", [montecarlo.TILE_NORMALS, 3001])
+@pytest.mark.parametrize("n", [2, 7, 8, 9, 10, 127, 128, 129, 257, 1000])
+def test_time_major_tiles_equal_row_major_reference(monkeypatch, n, tile_normals):
+    # with 3,001 normals per tile, tiles hold from 1,500 rows (n=2) down to
+    # 3 (n=1000) and never divide a block; they are drawn through stages of
+    # 375 normals, 187 rows at n=2, which do not divide the tile either
+    monkeypatch.setattr(montecarlo, "TILE_NORMALS", tile_normals)
+    params = Ar1Params(mu=0.3, sigma=1.3, rho=0.8, n=n)
+    blocks = [(0, montecarlo.BLOCK_SIZE), (1, 300)] if n <= 10 else [(0, 200), (3, 100)]
+    _assert_row_major_bits(params, blocks)
+
+
+@pytest.mark.parametrize("tile_normals", [montecarlo.TILE_NORMALS, 15 * 3001])
+def test_staged_draws_equal_row_major_reference(monkeypatch, tile_normals):
+    # at n=3001 the default 349-row tile is drawn in 43-row stages, which do
+    # not divide it; 15 x 3001 normals per tile give 15-row tiles drawn
+    # through a 1-row stage
+    monkeypatch.setattr(montecarlo, "TILE_NORMALS", tile_normals)
+    _assert_row_major_bits(Ar1Params(mu=0.3, sigma=1.3, rho=0.8, n=3001), [(0, 360), (3, 12)])
+
+
+class _RecordedStream:
+    """A Philox stream that records the buffers its normals are drawn into."""
+
+    def __init__(self, generator, stages):
+        self._generator, self._stages = generator, stages
+
+    def standard_normal(self, *, out):
+        self._stages.append(out)
+        return self._generator.standard_normal(out=out)
+
+
+def test_tiles_stay_time_major(monkeypatch):
+    # a tile is drawn through a small stage, never into a second tile-sized
+    # buffer: at n=1000, 131-row stage slices fill a 1,048-row tile and
+    # then a 52-row one; at n=10, one stage slice is the whole tile
+    stages = []
+    monkeypatch.setattr(
+        montecarlo,
+        "stream_generator",
+        lambda seed, block: _RecordedStream(stream_generator(seed, block), stages),
+    )
+    for n, rows in ((10, 50), (1000, 1100)):
+        params = Ar1Params(mu=0.3, sigma=1.0, rho=0.5, n=n)
+        starts = set()
+        for _, paths in montecarlo._path_tiles(params, 1, [(0, rows)]):
+            assert paths.T.flags.c_contiguous and paths.shape[1] == n
+            starts.add(paths.__array_interface__["data"][0])
+            assert stages
+            for stage in stages:
+                assert stage.size <= montecarlo.TILE_NORMALS // 8
+                assert not np.may_share_memory(stage, paths)
+            stages.clear()
+        assert len(starts) == 1  # every tile reuses the same lanes

@@ -25,6 +25,7 @@ from ar1_tstat import (
     t_statistic,
     whiten,
 )
+from ar1_tstat import montecarlo, process, tstat
 from ar1_tstat.montecarlo import TILE_NORMALS, _kolmogorov_sf
 from ar1_tstat.tstat import row_statistics
 
@@ -118,7 +119,9 @@ def test_tiled_block_row_zero_matches_simulate_path():
 
 
 def test_engine_memory_is_bounded_by_the_tile():
-    # whole 4096 x 1000 blocks and their temporaries would need about 126 MB
+    # whole 4096 x 1000 blocks and their temporaries would need about 126 MB;
+    # one 1,048-row tile (8 MiB) and a 1 MiB draw stage take about 9.3 MiB,
+    # so a second tile-sized buffer would break the bound
     cfg = _config(2 * BLOCK_SIZE, seed=314, rho=0.95, n=1000)
     tracemalloc.start()
     try:
@@ -126,7 +129,35 @@ def test_engine_memory_is_bounded_by_the_tile():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20
+    assert peak < 12 * 2**20
+
+
+def test_engine_calls_each_traced_layer_once_per_tile(monkeypatch):
+    # bench/spans.py times the recursion and the whitening by wrapping these
+    # functions in every module that holds them; one call per tile keeps
+    # that per-layer split of the engine's time whole
+    calls = []
+
+    def count_calls(name, original):
+        def count(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        for module in (process, tstat, montecarlo):
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, count)
+
+    count_calls("paths_from_normals", process.paths_from_normals)
+    count_calls("whiten", tstat.whiten)
+    monkeypatch.setattr(montecarlo, "TILE_NORMALS", 3001)  # 300-row tiles at n=10
+    params = Ar1Params(mu=0.2, sigma=1.0, rho=0.5, n=10)
+    tiles = 4 + 1  # 1,000 rows in 300-row tiles, then 7
+    for functional in Functional:
+        calls.clear()
+        montecarlo._functional_blocks(params, 5, [(0, 1000), (2, 7)], functional)
+        whitened = tiles if functional is Functional.MODIFIED_T_STAT else 0
+        assert calls.count("paths_from_normals") == tiles, functional
+        assert calls.count("whiten") == whitened, functional
 
 
 def test_replication_count_is_exact():

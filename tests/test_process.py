@@ -96,6 +96,35 @@ def test_paths_from_normals_returns_the_workspace_view():
         assert np.array_equal(got, want)
 
 
+def test_paths_from_normals_runs_in_place_in_the_workspace():
+    # innovations drawn into the lanes (normals is workspace.T) are not
+    # copied; the recursion gives the bits of the copying call
+    p = Ar1Params(mu=-0.2, sigma=0.8, rho=0.7, n=11)
+    z = stream_generator(3, 1).standard_normal((6, 11))
+    lanes = np.ascontiguousarray(z.T)
+    got = paths_from_normals(p, lanes.T, workspace=lanes)
+    assert np.shares_memory(got, lanes)
+    assert got.tobytes() == _row_by_row_paths(p, z).tobytes()
+
+
+def test_paths_from_normals_rejects_a_workspace_it_cannot_use():
+    p = Ar1Params(mu=0.3, sigma=1.0, rho=0.5, n=5)
+    z = stream_generator(4, 0).standard_normal((3, 5))
+    for workspace in (
+        np.empty((5, 3), dtype=np.float32),  # would round the paths to float32
+        np.empty((2, 5, 3)),  # would take the paths by broadcasting
+        np.empty((3, 5)),
+        np.empty((5, 4)),
+    ):
+        with pytest.raises(ValueError, match="float64 of shape"):
+            paths_from_normals(p, z, workspace=workspace)
+    # lanes one column off the innovations overlap them only in part
+    buffer = np.empty((5, 4))
+    buffer[:, :3] = z.T
+    with pytest.raises(ValueError, match="overlaps"):
+        paths_from_normals(p, buffer[:, :3].T, workspace=buffer[:, 1:])
+
+
 def test_tiled_draw_equals_one_shot_draw():
     # Philox is counter-based: drawing a block tile by tile into one reused
     # buffer gives the normals of one (rows, n) draw

@@ -18,6 +18,7 @@ from ar1_tstat import (
     whitened_mean,
     whitening_matrix,
 )
+from ar1_tstat import tstat
 from ar1_tstat.tstat import _row_sums, row_statistics
 
 
@@ -90,8 +91,42 @@ def test_whiten_into_out_equals_the_two_term_formula():
     assert whiten(x, 0.9, out=out) is out
     assert np.array_equal(out, want)
     assert np.array_equal(whiten(x, 0.9), want)
-    with pytest.raises(ValueError):
-        whiten(x, 0.9, out=x)
+    # out may be the input itself: whitened in place, to the same bits
+    assert whiten(x, 0.9, out=x) is x
+    assert x.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["1-D", "C-ordered", "time-major"])
+@pytest.mark.parametrize(
+    "blocks, extra", [(0, 2), (0, 3), (1, -1), (1, 0), (1, 1), (1, 2), (0, 1000)]
+)
+def test_whiten_in_place_equals_out_of_place_bitwise(layout, blocks, extra):
+    # n = blocks * block + extra, where an in-place whiten of R rows works in
+    # blocks of 2**17 / (8 R) time steps: 16,384 for a 1-D path, 16 for the
+    # 1,000 rows here, so n = 1000 spans 63 blocks
+    rows = 1 if layout == "1-D" else 1000
+    n = blocks * (tstat._WHITEN_BLOCK_BYTES // (8 * rows)) + extra
+    x = stream_generator(15, 0).standard_normal((rows, n))
+    x = x[0] if layout == "1-D" else x
+    x = np.asfortranarray(x) if layout == "time-major" else x
+    want = whiten(x, 0.95)
+    got = whiten(x, 0.95, out=x)
+    assert got is x and got.flags.f_contiguous == (layout != "C-ordered")
+    assert _bits(got) == _bits(want)
+
+
+def test_whiten_rejects_an_out_that_overlaps_in_part():
+    x = stream_generator(16, 0).standard_normal((5, 9))
+    for values, out in ((x[:, 1:], x[:, :-1]), (x[:, :5], x[:, 4:]), (x, x[...])):
+        with pytest.raises(ValueError, match="overlap"):
+            whiten(values, 0.5, out=out)
+
+
+def test_whiten_rejects_an_out_of_another_dtype_or_shape():
+    x = stream_generator(17, 0).standard_normal((3, 5))
+    for out in (np.empty((3, 5), dtype=np.float32), np.empty((2, 3, 5)), np.empty(15)):
+        with pytest.raises(ValueError, match="float64 of shape"):
+            whiten(x, 0.5, out=out)
 
 
 def test_row_statistics_overwrite_rows_keeps_bits():
