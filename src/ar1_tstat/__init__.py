@@ -16,7 +16,8 @@ The package covers four layers that cross-validate each other:
 
 The public names load on first access (PEP 562), so ``import ar1_tstat``,
 which ``python -m ar1_tstat`` runs first, imports no numpy: the entry point
-can still choose the BLAS thread count before numpy loads.
+can still put its one-thread BLAS default in the environment before numpy
+loads (one worker model, see :mod:`~ar1_tstat.__main__`).
 """
 
 import importlib

@@ -1,16 +1,17 @@
 """``python -m ar1_tstat`` and the ``ar1-tstat`` script.
 
-One worker model (see :mod:`~ar1_tstat.blas`): a process runs numpy's BLAS
-on one thread unless the user's own OPENBLAS_NUM_THREADS says otherwise. The
-default has to be in the environment before numpy loads, and the pool's
-workers inherit it.
+One worker model: a CLI process runs numpy's BLAS on one thread at every n,
+so the --workers pool is its parallelism and no printed bit follows the
+host's CPU count. A user's own OPENBLAS_NUM_THREADS, which the manifest
+records, is the one way to threaded BLAS. The default must be in the
+environment before numpy loads; the pool's workers inherit it.
 """
 
-from .blas import default_to_one_thread
+import os
 
 
 def entrypoint() -> None:
-    default_to_one_thread()
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from .cli import main
 
     raise SystemExit(main())

@@ -131,9 +131,23 @@ def _phase(phases: dict[str, float], name: str):
         phases[name] = phases.get(name, 0.0) + time.perf_counter() - start
 
 
+def _simd() -> dict:
+    """numpy's SIMD baseline and enabled dispatch targets: they move exp/log/pow bits."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    enabled = umath.__cpu_features__
+    return {
+        "baseline": list(umath.__cpu_baseline__),
+        "dispatch": [t for t in umath.__cpu_dispatch__ if enabled.get(t)],
+    }
+
+
 def _environment(config: SimulationConfig | None) -> dict:
     env = {
         "numpy": np.__version__,
+        "simd": _simd(),
         "longdouble_eps": float(np.finfo(np.longdouble).eps),
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
     }

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import Ar1Params, Functional
+from .params import Ar1Params, Functional, integer
 from .process import paths_from_normals, stream_generator
 from .tstat import row_means, row_statistics, whiten
 
@@ -59,6 +59,8 @@ class SimulationConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("replications", "seed", "workers"):
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
         if not 0 <= self.seed < 2**64:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -12,6 +13,21 @@ from dataclasses import dataclass
 # sigma^2 / (1 - rho^2) diverges at the unit root, so boundary values are
 # rejected outright instead of producing huge, meaningless numbers.
 STATIONARITY_MARGIN = 1e-9
+
+
+def real(name: str, value) -> float:
+    """value as a float: any real number, numpy's too, but a bool; else TypeError."""
+    # python's bool is a numbers.Real (and Integral), numpy's bool is neither
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def integer(name: str, value) -> int:
+    """value as an int: any integer, numpy's too, but a bool; else TypeError (2.7 too)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -41,10 +57,7 @@ class Ar1Params:
 
     def __post_init__(self) -> None:
         for name in ("mu", "sigma", "rho"):
-            raw = getattr(self, name)
-            if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-                raise TypeError(f"{name} must be a real number, got {raw!r}")
-            value = float(raw)
+            value = real(name, getattr(self, name))
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
@@ -55,13 +68,7 @@ class Ar1Params:
                 f"stationarity requires |rho| <= 1 - {STATIONARITY_MARGIN:g}, "
                 f"got rho = {self.rho}"
             )
-        if isinstance(self.n, bool):
-            raise TypeError(f"n must be an integer, got {self.n!r}")
-        try:
-            n = operator.index(self.n)
-        except TypeError:
-            raise TypeError(f"n must be an integer, got {self.n!r}") from None
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", integer("n", self.n))
         if self.n < 2:
             raise ValueError(f"n must be at least 2, got {self.n}")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import Ar1Params
+from .params import Ar1Params, integer
 
 __all__ = [
     "NormalLaw",
@@ -75,11 +75,12 @@ def stream_generator(seed: int, stream: int) -> np.random.Generator:
     Philox is counter-based, so the pair fully determines the draws, with
     no dependence on how many other streams exist or on scheduling.
     """
-    if not 0 <= int(seed) < _MAX_SEED:
+    seed, stream = integer("seed", seed), integer("stream", stream)
+    if not 0 <= seed < _MAX_SEED:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    if int(stream) < 0:
+    if stream < 0:
         raise ValueError(f"stream must be nonnegative, got {stream}")
-    return np.random.Generator(np.random.Philox(key=int(seed)).jumped(int(stream)))
+    return np.random.Generator(np.random.Philox(key=seed).jumped(stream))
 
 
 def paths_from_normals(

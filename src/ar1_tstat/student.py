@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .params import real
+
 __all__ = ["StudentLaw", "QuadratureError"]
 
 # Gauss-Legendre rule of the cdf panels (at most 0.5 wide in t, 1 wide in y)
@@ -101,10 +103,7 @@ class StudentLaw:
     dof: float
 
     def __post_init__(self) -> None:
-        raw = self.dof
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            raise ValueError(f"dof must be a positive real number, got {raw!r}")
-        value = float(raw)
+        value = real("dof", self.dof)
         if not math.isfinite(value) or value <= 0.0:
             raise ValueError(f"dof must be positive and finite, got {value}")
         object.__setattr__(self, "dof", value)

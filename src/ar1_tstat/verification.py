@@ -6,6 +6,9 @@ at second order) and make the report fail when violated. The fourth-moment
 closed forms are handled separately: their disagreement with the oracle is
 an established property of the expressions, so flagged gaps are collected
 into a non-fatal discrepancy section instead.
+
+The matrix identities are dense BLAS products, whose last bits follow the
+thread count; the CLI runs one thread at every n (see ``__main__``).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import blas, moments, oracle
+from . import moments, oracle
 from .matrices import (
     covariance_cholesky,
     covariance_matrix,
@@ -24,7 +27,7 @@ from .matrices import (
     whitening_matrix,
 )
 from .moments import MomentQuantity
-from .params import Ar1Params
+from .params import Ar1Params, integer
 
 __all__ = [
     "DEFAULT_N_GRID",
@@ -135,14 +138,13 @@ def _matrix_gaps(params: Ar1Params) -> dict[str, float]:
     wh = whitening_matrix(params)
     eye = np.eye(params.n)
     recombined = eye + cholesky_perturbation(params)
-    with blas.threads_for(params.n):  # five dense O(n^3) products
-        return {
-            "cholesky_reproduces_covariance": float(np.abs(chol @ chol.T - cov).max()),
-            "whitening_gram_is_precision": float(np.abs(wh.T @ wh - prec).max()),
-            "precision_inverts_covariance": float(np.abs(prec @ cov - eye).max()),
-            "whitening_diagonalizes_covariance": float(np.abs(wh @ cov @ wh.T - eye).max()),
-            "perturbation_recombines_exactly": float(np.abs(recombined - chol).max()),
-        }
+    return {
+        "cholesky_reproduces_covariance": float(np.abs(chol @ chol.T - cov).max()),
+        "whitening_gram_is_precision": float(np.abs(wh.T @ wh - prec).max()),
+        "precision_inverts_covariance": float(np.abs(prec @ cov - eye).max()),
+        "whitening_diagonalizes_covariance": float(np.abs(wh @ cov @ wh.T - eye).max()),
+        "perturbation_recombines_exactly": float(np.abs(recombined - chol).max()),
+    }
 
 
 def _scalar_gaps(params: Ar1Params, reports: dict) -> dict[str, float]:
@@ -196,7 +198,7 @@ def run_verification(
     """
     if tolerance_override is not None and not tolerance_override >= 0.0:
         raise ValueError(f"tolerance must be a number >= 0, got {tolerance_override!r}")
-    n_grid = tuple(int(n) for n in (n_grid if n_grid is not None else DEFAULT_N_GRID))
+    n_grid = tuple(integer("n", n) for n in (n_grid if n_grid is not None else DEFAULT_N_GRID))
     rho_grid = tuple(
         float(r) for r in (rho_grid if rho_grid is not None else DEFAULT_RHO_GRID)
     )

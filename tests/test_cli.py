@@ -382,12 +382,13 @@ def _child_env(**overrides) -> dict:
     return {**env, "PYTHONPATH": src, **overrides}
 
 
-def _run_module(argv, **env) -> subprocess.CompletedProcess:
+def _run_module(argv, preexec_fn=None, **env) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "ar1_tstat", *argv],
         env=_child_env(**env),
         capture_output=True,
         text=True,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -700,49 +701,26 @@ def test_module_entry_defaults_to_one_blas_thread(tmp_path, given, recorded):
     assert manifest["environment"]["blas_threads"] == recorded
 
 
-_THREADS_PROBE = """
-import ctypes, os, sys
-from ar1_tstat import blas
-blas.default_to_one_thread()
-from numpy._core import _multiarray_umath
-lib = ctypes.CDLL(_multiarray_umath.__file__)
-get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-if get is None:
-    sys.exit("not numpy's bundled OpenBLAS")
-counts = [get()]
-with blas.threads_for(blas.THREADED_MIN_N - 1):
-    counts.append(get())
-with blas.threads_for(blas.THREADED_MIN_N):
-    counts.append(get())
-counts.append(get())
-print(len(os.sched_getaffinity(0)), *counts)
-"""
-
-
-@pytest.mark.parametrize("given", [None, "1"])
-def test_large_products_use_every_cpu_only_under_the_default(given):
-    env = {} if given is None else {"OPENBLAS_NUM_THREADS": given}
-    done = subprocess.run(
-        [sys.executable, "-c", _THREADS_PROBE], env=_child_env(**env), capture_output=True, text=True
-    )
-    if "bundled OpenBLAS" in done.stderr:
-        pytest.skip(done.stderr.strip())
-    assert done.returncode == 0, done.stderr
-    cpus, before, small, large, after = map(int, done.stdout.split())
-    assert (before, small, after) == (1, 1, 1)
-    # a user's own value wins over the threaded large products too
-    assert large == (cpus if given is None else 1)
-
-
-def test_large_n_verify_prints_what_an_all_cpu_blas_prints(tmp_path):
-    # the last bits of a dense product's gap depend on the BLAS thread count;
-    # at large n the default run uses OpenBLAS's own count, every usable CPU
-    default, all_cpus = tmp_path / "default.json", tmp_path / "all_cpus.json"
+@pytest.mark.parametrize("variant", ["one-blas-thread", "one-cpu"])
+def test_large_n_verify_bytes_follow_no_thread_or_cpu_count(tmp_path, variant):
+    # the last bits of a dense product's gap follow the BLAS thread count, so
+    # the default runs one thread at every n, whatever the host's CPU count
+    env, pin = {}, None
+    if variant == "one-blas-thread":
+        env = {"OPENBLAS_NUM_THREADS": "1"}
+    else:
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
+        if len(cpus) < 2:
+            pytest.skip("needs CPU affinity and more than one usable CPU")
+        pin = lambda: os.sched_setaffinity(0, {min(cpus)})  # noqa: E731
     argv = ["verify", "--grid-n", "500", "--grid-rho=-0.5,0.5", "--out"]
-    cpus = str(len(os.sched_getaffinity(0)))
+    default, other = tmp_path / "default.json", tmp_path / "other.json"
     assert _run_module(argv + [str(default)]).returncode == 0
-    assert _run_module(argv + [str(all_cpus)], OPENBLAS_NUM_THREADS=cpus).returncode == 0
-    assert default.read_bytes() == all_cpus.read_bytes()
+    assert _run_module(argv + [str(other)], preexec_fn=pin, **env).returncode == 0
+    assert default.read_bytes() == other.read_bytes()
+    for out in (default, other):
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["environment"]["blas_threads"] == "1"
 
 
 # -- density ------------------------------------------------------------------
@@ -896,6 +874,24 @@ def test_manifest_records_argv(tmp_path):
     assert set(manifest["run"]["wall_s"]) == {"import", "grid", "write"}
     peak = manifest["run"]["peak_rss_mb"]
     assert peak["self"] > 0.0 and peak["children"] >= 0.0
+    # numpy's SIMD baseline and the dispatch targets the host enables
+    assert sorted(env["simd"]) == ["baseline", "dispatch"]
+    assert all(isinstance(t, str) for t in env["simd"]["baseline"] + env["simd"]["dispatch"])
+    assert not set(env["simd"]["baseline"]) & set(env["simd"]["dispatch"])
+
+
+def test_manifest_simd_drops_a_target_numpy_was_told_to_disable(tmp_path):
+    argv = ["table-moments", "--grid-n", "2", "--grid-rho", "0.5", "--out"]
+    assert main(argv + [str(tmp_path / "host.csv")]) == 0
+    host = json.loads((tmp_path / "host.csv.manifest.json").read_text())["environment"]["simd"]
+    if not host["dispatch"]:
+        pytest.skip("the host enables no dispatch target beyond numpy's baseline")
+    target = host["dispatch"][-1]  # the highest: no enabled target builds on it
+    done = _run_module(argv + [str(tmp_path / "off.csv")], NPY_DISABLE_CPU_FEATURES=target)
+    assert done.returncode == 0, done.stderr
+    off = json.loads((tmp_path / "off.csv.manifest.json").read_text())["environment"]["simd"]
+    assert off["baseline"] == host["baseline"]
+    assert target not in off["dispatch"] and set(off["dispatch"]) <= set(host["dispatch"])
 
 
 def test_manifest_records_simulation_telemetry(tmp_path, monkeypatch):

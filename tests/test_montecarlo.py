@@ -48,6 +48,22 @@ def test_config_validation():
         SimulationConfig(params=p, replications=10, seed=1, workers=0)
 
 
+@pytest.mark.parametrize(
+    "field, bad", [("seed", 3.7), ("replications", True), ("workers", 2.0), ("seed", np.True_)]
+)
+def test_config_rejects_non_integers(field, bad):
+    # a float seed is refused, never truncated to another seed's stream
+    kw = {"replications": 10, "seed": 3, "workers": 1, field: bad}
+    with pytest.raises(TypeError, match=f"{field} must be an integer"):
+        SimulationConfig(params=Ar1Params(mu=0.0, sigma=1.0, rho=0.0, n=4), **kw)
+
+
+def test_config_normalizes_numpy_integers():
+    p = Ar1Params(mu=0.0, sigma=1.0, rho=0.0, n=4)
+    cfg = SimulationConfig(params=p, replications=np.int64(10), seed=np.uint64(3), workers=np.int8(1))
+    assert [type(v) for v in (cfg.replications, cfg.seed, cfg.workers)] == [int, int, int]
+
+
 def test_engine_matches_scalar_statistics_bitwise():
     """Row r of the engine equals the scalar pipeline on stream block."""
     cfg = _config(2 * BLOCK_SIZE + 100, mu=0.4, rho=0.6)

@@ -36,6 +36,22 @@ def test_stream_bounds_checked():
         stream_generator(0, -1)
 
 
+@pytest.mark.parametrize("seed, stream", [(3.7, 0), (3, 1.9), (True, 0), (3, np.True_), ("3", 0)])
+def test_non_integer_seed_or_stream_rejected(seed, stream):
+    # a float is refused, never truncated to another seed's stream
+    with pytest.raises(TypeError, match="must be an integer"):
+        stream_generator(seed, stream)
+    with pytest.raises(TypeError, match="must be an integer"):
+        simulate_path(Ar1Params(mu=0.0, sigma=1.0, rho=0.5, n=4), seed, stream)
+
+
+def test_numpy_integer_seed_and_stream_accepted():
+    params = Ar1Params(mu=0.0, sigma=1.0, rho=0.5, n=4)
+    path = simulate_path(params, np.uint64(3), np.int32(1))
+    assert (type(path.seed), type(path.stream)) == (int, int)
+    assert np.array_equal(path.values, simulate_path(params, 3, 1).values)
+
+
 def test_paths_from_normals_recursion():
     """Hand-unroll the recursion for one short draw."""
     p = Ar1Params(mu=0.5, sigma=2.0, rho=0.6, n=4)

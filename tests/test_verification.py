@@ -27,6 +27,13 @@ def small_report():
     return run_verification(n_grid=SMALL_N_GRID, rho_grid=SMALL_RHO_GRID)
 
 
+@pytest.mark.parametrize("bad", [2.7, 2.0, True])
+def test_non_integer_grid_n_rejected(bad):
+    # 2.7 is refused, not run as n = 2
+    with pytest.raises(TypeError, match="n must be an integer"):
+        run_verification(n_grid=[bad], rho_grid=[0.5])
+
+
 def test_small_grid_passes(small_report):
     assert isinstance(small_report, VerificationReport)
     assert small_report.passed
