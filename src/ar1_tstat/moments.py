@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .params import Ar1Params
+from .params import Ar1Params, integer
 
 __all__ = [
     "DISCREPANCY_RTOL",
@@ -102,6 +102,7 @@ def covariance_with_mean(params: Ar1Params, j: int) -> float:
     (1-rho). The two boundary powers are summed before subtraction so the
     value is bitwise symmetric under j <-> n+1-j.
     """
+    j = integer("j", j)
     if not 1 <= j <= params.n:
         raise ValueError(f"j must lie in 1..{params.n}, got {j}")
     rho, sigma, n = _ld(params)

@@ -13,10 +13,11 @@ A worker holds one tile buffer, the time-major (n, rows) lanes, and a draw
 stage of at most TILE_NORMALS // 8 normals, and reuses both for all its
 blocks, so memory is bounded by one tile, not by BLOCK_SIZE x n. Philox is
 counter-based, so drawing a block stage by stage yields the same normals
-as one draw of the block. Each stage slice is copied transposed into the
-lanes, and from there the recursion, whitening and statistic kernel run
-in place along the long rows axis; the kernel sums in numpy's pairwise
-order, so every value has the bits of a row-major tile.
+as one draw of the block. Each stage slice is copied into the lanes'
+(rows, n) view paths, where the recursion and whitening (out=paths) and
+the statistic kernel run in place along the long rows axis; the kernel
+sums in numpy's pairwise order, so every value has the bits of a
+row-major tile.
 The sample-mean functional runs only the kernel's mean step.
 """
 
@@ -130,11 +131,11 @@ def _path_tiles(params: Ar1Params, seed: int, blocks: list[tuple[int, int]]):
         rng = stream_generator(seed, block)
         for start in range(0, rows, tile_rows):
             m = min(tile_rows, rows - start)
-            tile = lanes[: m * n].reshape(n, m)
+            paths = lanes[: m * n].reshape(n, m).T
             for lo in range(0, m, stage_rows):
                 k = min(stage_rows, m - lo)
-                tile[:, lo : lo + k] = rng.standard_normal(out=stage[: k * n].reshape(k, n)).T
-            yield offset, paths_from_normals(params, tile.T, workspace=tile)
+                paths[lo : lo + k] = rng.standard_normal(out=stage[: k * n].reshape(k, n))
+            yield offset, paths_from_normals(params, paths, out=paths)
             offset += m
 
 
@@ -149,7 +150,7 @@ def _functional_blocks(
             column = row_means(paths)
         else:
             # row_statistics returns (means, bessel variances, t-values)
-            stats = row_statistics(paths, params.mu, overwrite_rows=True)
+            stats = row_statistics(paths, params.mu)
             column = stats[1 if functional is Functional.SAMPLE_VARIANCE else 2]
         values[offset : offset + len(column)] = column
     return values

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import Ar1Params
+from .params import Ar1Params, integer
 
 __all__ = [
     "QuadraticForm",
@@ -188,6 +188,7 @@ def mean_covariance_profile(params: Ar1Params) -> np.ndarray:
 
 def covariance_with_mean(params: Ar1Params, j: int) -> float:
     """Cov(sample mean, X_j) as the j-th entry of S 1 / n, 1-based j."""
+    j = integer("j", j)
     if not 1 <= j <= params.n:
         raise ValueError(f"j must lie in 1..{params.n}, got {j}")
     return float(mean_covariance_profile(params)[j - 1])

@@ -1,10 +1,9 @@
 """Path simulation and elementary distribution theory for stationary AR(1).
 
 paths_from_normals runs the AR recursion time-major, one vector of all rows
-per step, and returns the paths in that layout, as a transposed view of its
-lanes (its own or a caller's workspace), with no copy into rows. A caller
-that draws the innovations straight into its workspace has the recursion
-run in place there.
+per step, in place: in a fresh copy of the innovations, or, given
+out=normals, in the caller's array itself, whatever its memory layout. The
+Monte Carlo engine passes its time-major tile and gets the paths back there.
 """
 
 from __future__ import annotations
@@ -84,10 +83,7 @@ def stream_generator(seed: int, stream: int) -> np.random.Generator:
 
 
 def paths_from_normals(
-    params: Ar1Params,
-    normals: np.ndarray,
-    *,
-    workspace: np.ndarray | None = None,
+    params: Ar1Params, normals: np.ndarray, *, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Turn standard-normal innovations into AR(1) paths along the last axis.
 
@@ -96,14 +92,9 @@ def paths_from_normals(
     simulator and the replication engine route through this function, so a
     path drawn in a block matches the standalone draw bit for bit.
 
-    The recursion runs time-major: the innovations are copied transposed
-    into an (n, rows) workspace and each step updates one contiguous vector
-    of all rows as (mu + rho (x[t-1] - mu)) + sigma z[t]. Innovations that
-    already sit in the workspace (normals is workspace.T) are not copied:
-    the recursion runs on them in place. The paths come back as the
-    workspace's transposed view, in the innovations' shape and time-major
-    in memory; a caller that needs rows contiguous copies it. Every value
-    is the same float operation sequence as a row-by-row recursion, so
+    The recursion runs time-major, in place, in any memory layout: each
+    step updates all rows at one time step as (mu + rho (x[t-1] - mu)) +
+    sigma z[t], the float operation sequence of a row-by-row recursion, so
     rows never depend on how many other rows are passed along.
 
     Parameters
@@ -111,44 +102,32 @@ def paths_from_normals(
     params : Ar1Params
     normals : numpy.ndarray
         Array whose last axis has length params.n.
-    workspace : numpy.ndarray, optional
-        float64 array of shape (n, rows), overwritten; lets a caller reuse
-        one buffer across calls. The result is a view of it. Any other
-        dtype or shape, or a partial overlap with normals, raises
-        ValueError.
+    out : numpy.ndarray, optional
+        None runs the recursion in a copy of normals; normals itself, a
+        float64 array, has it run there. The paths are returned in either
+        case; any other out raises ValueError.
     """
-    normals = np.asarray(normals, dtype=float)
-    n = params.n
-    if normals.shape[-1] != n:
-        raise ValueError(f"innovations have last axis {normals.shape[-1]}, expected {n}")
-    rows = normals.size // n
-    if workspace is None:
-        lanes = np.empty((n, rows))
-    elif workspace.dtype != np.float64 or workspace.shape != (n, rows):
-        raise ValueError(
-            f"workspace must be float64 of shape {(n, rows)}, "
-            f"got {workspace.dtype} of shape {workspace.shape}"
-        )
+    if out is None:
+        x = np.array(normals, dtype=float)
+    elif out is normals and isinstance(out, np.ndarray) and out.dtype == np.float64:
+        x = out
     else:
-        lanes = workspace
-    staged = normals.reshape(rows, n).T
-    # equal interfaces (address, shape, strides): normals is workspace.T
-    if staged.__array_interface__ != lanes.__array_interface__:
-        if np.may_share_memory(staged, lanes):
-            raise ValueError("workspace overlaps the innovations only in part")
-        lanes[...] = staged
-    mu, sigma, rho = params.mu, params.sigma, params.rho
+        raise ValueError("out must be None or normals itself, a float64 array")
+    n, mu, sigma, rho = params.n, params.mu, params.sigma, params.rho
+    if x.ndim == 0 or x.shape[-1] != n:
+        raise ValueError(f"innovations have shape {x.shape}, expected a last axis of {n}")
+    lanes = np.moveaxis(np.atleast_2d(x), -1, 0)  # a view: lanes[t] is time step t
     # in-place updates swap the operands of + and *, which IEEE keeps exact
     lanes[0] *= sigma / math.sqrt(1.0 - rho * rho)
     lanes[0] += mu
     lanes[1:] *= sigma
-    step = np.empty(rows)
+    step = np.empty(lanes.shape[1:])
     for t in range(1, n):
         np.subtract(lanes[t - 1], mu, out=step)
         step *= rho
         step += mu
         lanes[t] += step
-    return lanes.T.reshape(normals.shape)
+    return x
 
 
 def simulate_path(params: Ar1Params, seed: int, stream: int = 0) -> SamplePath:

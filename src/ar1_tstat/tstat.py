@@ -1,9 +1,9 @@
 """Location t-statistics for AR(1) paths, classical and whitened.
 
-row_statistics is the one statistic kernel. It takes rows in any memory
-layout: its row sums follow numpy's pairwise order whether the summed axis
-is contiguous or not, so the Monte Carlo engine's time-major tiles give the
-bits of C-ordered paths.
+whiten and the statistic kernel row_statistics work in place in rows of
+any memory layout; the kernel's row sums repeat numpy's pairwise order
+along the summed axis, so the Monte Carlo engine's time-major tiles give
+the bits of C-ordered paths.
 """
 
 from __future__ import annotations
@@ -71,37 +71,30 @@ def whiten(values: np.ndarray, rho: float, *, out: np.ndarray | None = None) -> 
     coordinate is scaled by sqrt(1 - rho^2) and each later coordinate
     becomes X_i - rho * X_{i-1}. Accepts stacked paths (any leading axes).
 
-    out, a float64 array of the shape of values, receives the result; no
-    temporary of that size is made. out may be values itself: the map then
-    runs backward from the last time step, a block of steps at a time, so
-    each block reads its lagged step before that step is overwritten, and
-    the temporary holds one block (about _WHITEN_BLOCK_BYTES). The bits are
-    those of the out-of-place map. Any other dtype or shape of out, or an
-    out that overlaps values without being it, raises ValueError.
+    The map runs in place, in any memory layout, backward from the last
+    time step a block of steps at a time, so each block reads its lagged
+    step before that step is overwritten; the temporary holds one block
+    (about _WHITEN_BLOCK_BYTES). out=None whitens a copy of values and
+    out=values, a float64 array, values itself; either is returned. Any
+    other out, or an empty last axis, raises ValueError.
     """
-    values = np.asarray(values, dtype=float)
     if out is None:
-        out = np.empty_like(values)
-    elif out.dtype != np.float64 or out.shape != values.shape:
-        raise ValueError(
-            f"whiten's out must be float64 of shape {values.shape}, "
-            f"got {out.dtype} of shape {out.shape}"
-        )
-    elif out is not values and np.may_share_memory(out, values):
-        raise ValueError("whiten's out must be its input or not overlap it")
-    n = values.shape[-1]
-    steps, lagged = max(1, n - 1), None  # out of place: one block, formed in out
-    if out is values:
-        rows = max(1, values.size // n)
-        steps = max(1, min(n - 1, _WHITEN_BLOCK_BYTES // (values.itemsize * rows)))
-        lagged = np.empty_like(values[..., :steps])  # in the layout of values
+        x = np.array(values, dtype=float)
+    elif out is values and isinstance(out, np.ndarray) and out.dtype == np.float64:
+        x = out
+    else:
+        raise ValueError("whiten's out must be None or values itself, a float64 array")
+    if x.ndim == 0 or x.shape[-1] == 0:
+        raise ValueError(f"whiten needs a last axis of length >= 1, got shape {x.shape}")
+    n = x.shape[-1]
+    rows = max(1, x.size // n)
+    steps = max(1, min(n - 1, _WHITEN_BLOCK_BYTES // (x.itemsize * rows)))
+    lagged = np.empty_like(x[..., :steps])  # in the layout of x
     for hi in range(n, 1, -steps):
         lo = max(1, hi - steps)
-        scaled = out[..., lo:hi] if lagged is None else lagged[..., : hi - lo]
-        np.multiply(values[..., lo - 1 : hi - 1], rho, out=scaled)
-        np.subtract(values[..., lo:hi], scaled, out=out[..., lo:hi])
-    np.multiply(values[..., 0], math.sqrt(1.0 - rho * rho), out=out[..., 0])
-    return out
+        x[..., lo:hi] -= np.multiply(x[..., lo - 1 : hi - 1], rho, out=lagged[..., : hi - lo])
+    x[..., 0] *= math.sqrt(1.0 - rho * rho)
+    return x
 
 
 def whitened_mean(params: Ar1Params) -> float:
@@ -116,8 +109,8 @@ def whitened_mean(params: Ar1Params) -> float:
 
 
 def _values_of(path_or_values) -> np.ndarray:
-    values = getattr(path_or_values, "values", path_or_values)
-    values = np.asarray(values, dtype=float)
+    # a copy: the statistic kernel overwrites the array it is given
+    values = np.array(getattr(path_or_values, "values", path_or_values), dtype=float)
     if values.ndim != 1 or values.size < 2:
         raise ValueError("need a one-dimensional sample of length >= 2")
     if not np.all(np.isfinite(values)):
@@ -164,17 +157,9 @@ def _lane_sums(lanes: np.ndarray) -> np.ndarray:
 
 
 def _row_sums(rows: np.ndarray) -> np.ndarray:
-    """Sums along the last axis, bit for bit those of np.add.reduce on a
-    C-ordered copy of rows, in whatever layout rows come.
-
-    numpy sums a contiguous axis pairwise but any other axis sequentially,
-    so a strided last axis (an engine tile's time-major lanes) runs
-    _lane_sums; the final 0.0 + is numpy's reduction identity.
-    """
-    if rows.strides[-1] == rows.itemsize:
-        return np.add.reduce(rows, axis=-1)
-    total = _lane_sums(rows.T).T  # rows.T leads with the summed axis
-    return np.add(0.0, total, out=total)
+    """Sums along the last axis in any layout, bit for bit those of
+    np.add.reduce on a C-ordered copy; 0.0 + is numpy's reduction identity."""
+    return 0.0 + _lane_sums(rows.T).T  # rows.T leads with the summed axis
 
 
 def row_means(rows: np.ndarray) -> np.ndarray:
@@ -182,9 +167,7 @@ def row_means(rows: np.ndarray) -> np.ndarray:
     return _row_sums(rows) / rows.shape[-1]
 
 
-def row_statistics(
-    rows: np.ndarray, mu: float, *, overwrite_rows: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def row_statistics(rows: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample mean, Bessel variance and t-value of each row (last axis).
 
     The one statistic kernel, for single paths (as 1-row arrays) and for
@@ -193,12 +176,12 @@ def row_statistics(
     C-ordered copy. Two passes, mean first and then the centered sum of
     squares: the one-pass update loses digits once mean^2 dominates the
     variance. The t-value sqrt(n) (mean - mu) / s is NaN where s is 0.
-    With overwrite_rows, the squared deviations are formed in rows itself
-    instead of in a temporary of its size.
+    The squared deviations are formed in rows, a float64 array, which is
+    overwritten; a caller that needs its rows passes a copy.
     """
     n = rows.shape[-1]
     means = row_means(rows)
-    centered = np.subtract(rows, means[..., None], out=rows if overwrite_rows else None)
+    centered = np.subtract(rows, means[..., None], out=rows)
     centered *= centered
     bessel = _row_sums(centered) / (n - 1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -274,7 +257,7 @@ def modified_t_statistic(
     if values.size != params.n:
         raise ValueError(f"sample length {values.size} does not match n = {params.n}")
     return _single_path(
-        whiten(values, params.rho),
+        whiten(values, params.rho, out=values),
         params.mu,
         StatKind.MODIFIED,
         "whitened sample variance is zero; modified t-statistic undefined",

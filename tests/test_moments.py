@@ -10,6 +10,7 @@ oracle value as authoritative. Tests below pin both behaviors.
 
 import math
 
+import numpy as np
 import pytest
 
 from ar1_tstat import (
@@ -29,6 +30,7 @@ from ar1_tstat import (
     variance_of_scaled_mean,
     variance_of_scaled_mean_regrouped,
 )
+from ar1_tstat import oracle
 from ar1_tstat.oracle import centering_form, form_mean, form_variance, scaled_mean_variance
 
 GRID_N = [2, 3, 5, 10, 50, 200]
@@ -88,6 +90,28 @@ def test_covariance_with_mean_index_validated():
         covariance_with_mean(p, 0)
     with pytest.raises(ValueError):
         covariance_with_mean(p, 6)
+
+
+@pytest.mark.parametrize(
+    "j", [2.5, 2.0, True, np.True_, "2"], ids=["2.5", "2.0", "True", "np.True_", "str"]
+)
+@pytest.mark.parametrize(
+    "route", [covariance_with_mean, oracle.covariance_with_mean], ids=["moments", "oracle"]
+)
+def test_covariance_with_mean_refuses_a_non_integer_index(route, j):
+    # 2.5 is not read as an index between two observations, nor True as 1
+    p = Ar1Params(mu=0.0, sigma=1.0, rho=0.5, n=5)
+    with pytest.raises(TypeError, match="j must be an integer"):
+        route(p, j)
+
+
+@pytest.mark.parametrize(
+    "route", [covariance_with_mean, oracle.covariance_with_mean], ids=["moments", "oracle"]
+)
+def test_covariance_with_mean_accepts_numpy_integers(route):
+    p = Ar1Params(mu=0.0, sigma=1.0, rho=0.5, n=5)
+    for j in range(1, 6):
+        assert route(p, np.int64(j)) == route(p, j) == route(p, np.uint8(j))
 
 
 def test_covariance_total_consistency():

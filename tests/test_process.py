@@ -93,52 +93,52 @@ def test_time_major_recursion_equals_row_by_row_bitwise(rho):
     assert np.array_equal(paths_from_normals(p, z[7]), _row_by_row_paths(p, z[7]))
 
 
-def test_paths_from_normals_returns_the_workspace_view():
-    # the paths stay in the time-major lanes: the caller's workspace, which
-    # is overwritten whole, or the function's own
+def test_paths_from_normals_returns_out_or_a_fresh_copy():
+    # without out the recursion runs in a copy, in the innovations' layout,
+    # and leaves them alone
     p = Ar1Params(mu=-0.2, sigma=0.8, rho=0.7, n=11)
     z = stream_generator(3, 1).standard_normal((6, 11))
     want = _row_by_row_paths(p, z)
-    workspace = np.full((11, 6), np.nan)
-    got = paths_from_normals(p, z, workspace=workspace)
-    assert np.shares_memory(got, workspace) and got.T.flags.c_contiguous
-    assert np.array_equal(got, want)
-    # C- and F-ordered input alike give a view of fresh (n, rows) lanes
-    for normals in (z, np.asfortranarray(z)):
+    for normals in (z, np.asfortranarray(z), z.tolist()):
+        kept = np.array(normals)
         got = paths_from_normals(p, normals)
-        assert got.shape == (6, 11) and got.T.flags.c_contiguous
-        assert got.base is not None and got.base.shape == (11, 6)
-        assert not np.shares_memory(got, normals)
-        assert np.array_equal(got, want)
+        assert got.shape == (6, 11) and not np.shares_memory(got, kept)
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(np.array(normals), kept)
+    assert paths_from_normals(p, z[2]).tobytes() == want[2].tobytes()
 
 
-def test_paths_from_normals_runs_in_place_in_the_workspace():
-    # innovations drawn into the lanes (normals is workspace.T) are not
-    # copied; the recursion gives the bits of the copying call
+@pytest.mark.parametrize("layout", ["1-D", "C-ordered", "F-ordered"])
+def test_paths_from_normals_runs_in_place_in_out(layout):
+    # out=normals overwrites the innovations with the paths, in any layout,
+    # to the bits of the row-by-row recursion
     p = Ar1Params(mu=-0.2, sigma=0.8, rho=0.7, n=11)
     z = stream_generator(3, 1).standard_normal((6, 11))
-    lanes = np.ascontiguousarray(z.T)
-    got = paths_from_normals(p, lanes.T, workspace=lanes)
-    assert np.shares_memory(got, lanes)
-    assert got.tobytes() == _row_by_row_paths(p, z).tobytes()
+    z = z[0] if layout == "1-D" else z
+    want = _row_by_row_paths(p, z)
+    x = np.asfortranarray(z) if layout == "F-ordered" else z.copy()
+    assert paths_from_normals(p, x, out=x) is x
+    assert x.tobytes() == want.tobytes()
 
 
-def test_paths_from_normals_rejects_a_workspace_it_cannot_use():
+def test_paths_from_normals_rejects_an_out_it_cannot_use():
+    # out is None or the innovations themselves, a float64 array
     p = Ar1Params(mu=0.3, sigma=1.0, rho=0.5, n=5)
     z = stream_generator(4, 0).standard_normal((3, 5))
-    for workspace in (
-        np.empty((5, 3), dtype=np.float32),  # would round the paths to float32
-        np.empty((2, 5, 3)),  # would take the paths by broadcasting
-        np.empty((3, 5)),
-        np.empty((5, 4)),
+    single = np.float32(z)
+    for normals, out in (
+        (z, z.copy()),  # a distinct array
+        (z, z[...]),  # a view of the innovations, not them
+        (z, np.empty((5, 3)).T),  # a time-major buffer of the paths' shape
+        (single, single),  # would round the paths to float32
+        (z.tolist(), z.tolist()),
     ):
-        with pytest.raises(ValueError, match="float64 of shape"):
-            paths_from_normals(p, z, workspace=workspace)
-    # lanes one column off the innovations overlap them only in part
-    buffer = np.empty((5, 4))
-    buffer[:, :3] = z.T
-    with pytest.raises(ValueError, match="overlaps"):
-        paths_from_normals(p, buffer[:, :3].T, workspace=buffer[:, 1:])
+        kept = np.array(normals)
+        with pytest.raises(ValueError, match="out must be None or normals itself"):
+            paths_from_normals(p, normals, out=out)
+        assert np.array_equal(np.array(normals), kept)
+    with pytest.raises(ValueError, match="last axis"):
+        paths_from_normals(p, np.float64(0.5))
 
 
 def test_tiled_draw_equals_one_shot_draw():

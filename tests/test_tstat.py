@@ -82,15 +82,20 @@ def test_whiten_batched():
         assert np.array_equal(block[i], whiten(x[i], -0.4))
 
 
+def _two_term_whiten(x, rho):
+    # the map by slicing: sqrt(1 - rho^2) x[0], then x[i] - rho x[i-1]
+    want = np.empty(x.shape)
+    want[..., 0] = math.sqrt(1.0 - rho * rho) * x[..., 0]
+    want[..., 1:] = x[..., 1:] - rho * x[..., :-1]
+    return want
+
+
 def test_whiten_into_out_equals_the_two_term_formula():
     x = stream_generator(13, 0).standard_normal((5, 8))
-    want = np.empty_like(x)
-    want[:, 0] = math.sqrt(1.0 - 0.81) * x[:, 0]
-    want[:, 1:] = x[:, 1:] - 0.9 * x[:, :-1]
-    out = np.full_like(x, np.nan)
-    assert whiten(x, 0.9, out=out) is out
-    assert np.array_equal(out, want)
+    kept = x.copy()
+    want = _two_term_whiten(x, 0.9)
     assert np.array_equal(whiten(x, 0.9), want)
+    assert x.tobytes() == kept.tobytes()  # without out, a copy is whitened
     # out may be the input itself: whitened in place, to the same bits
     assert whiten(x, 0.9, out=x) is x
     assert x.tobytes() == want.tobytes()
@@ -101,15 +106,16 @@ def test_whiten_into_out_equals_the_two_term_formula():
     "blocks, extra", [(0, 2), (0, 3), (1, -1), (1, 0), (1, 1), (1, 2), (0, 1000)]
 )
 def test_whiten_in_place_equals_out_of_place_bitwise(layout, blocks, extra):
-    # n = blocks * block + extra, where an in-place whiten of R rows works in
-    # blocks of 2**17 / (8 R) time steps: 16,384 for a 1-D path, 16 for the
-    # 1,000 rows here, so n = 1000 spans 63 blocks
+    # n = blocks * block + extra, where whiten works in blocks of
+    # 2**17 / (8 R) time steps for R rows: 16,384 for a 1-D path, 16 for
+    # the 1,000 rows here, so n = 1000 spans 63 blocks
     rows = 1 if layout == "1-D" else 1000
     n = blocks * (tstat._WHITEN_BLOCK_BYTES // (8 * rows)) + extra
     x = stream_generator(15, 0).standard_normal((rows, n))
     x = x[0] if layout == "1-D" else x
     x = np.asfortranarray(x) if layout == "time-major" else x
-    want = whiten(x, 0.95)
+    want = _two_term_whiten(x, 0.95)
+    assert _bits(whiten(x, 0.95)) == _bits(want)
     got = whiten(x, 0.95, out=x)
     assert got is x and got.flags.f_contiguous == (layout != "C-ordered")
     assert _bits(got) == _bits(want)
@@ -118,24 +124,54 @@ def test_whiten_in_place_equals_out_of_place_bitwise(layout, blocks, extra):
 def test_whiten_rejects_an_out_that_overlaps_in_part():
     x = stream_generator(16, 0).standard_normal((5, 9))
     for values, out in ((x[:, 1:], x[:, :-1]), (x[:, :5], x[:, 4:]), (x, x[...])):
-        with pytest.raises(ValueError, match="overlap"):
+        with pytest.raises(ValueError, match="out must be None or values itself"):
             whiten(values, 0.5, out=out)
 
 
 def test_whiten_rejects_an_out_of_another_dtype_or_shape():
     x = stream_generator(17, 0).standard_normal((3, 5))
-    for out in (np.empty((3, 5), dtype=np.float32), np.empty((2, 3, 5)), np.empty(15)):
-        with pytest.raises(ValueError, match="float64 of shape"):
+    for out in (np.empty((3, 5), dtype=np.float32), np.empty((2, 3, 5)), np.empty(15), x.copy()):
+        with pytest.raises(ValueError, match="out must be None or values itself"):
             whiten(x, 0.5, out=out)
+    single = np.float32(x)  # its own out, but whitening would round to float32
+    with pytest.raises(ValueError, match="out must be None or values itself"):
+        whiten(single, 0.5, out=single)
 
 
-def test_row_statistics_overwrite_rows_keeps_bits():
+@pytest.mark.parametrize(
+    "values", [np.float64(1.5), np.zeros(0), np.zeros((3, 0))], ids=["0-d", "1-D", "2-D"]
+)
+def test_whiten_rejects_an_empty_last_axis(values):
+    with pytest.raises(ValueError, match="last axis"):
+        whiten(values, 0.5)
+
+
+def test_row_statistics_overwrites_its_rows_keeping_bits():
+    # the kernel forms the squared deviations in the rows it is given
     x = stream_generator(14, 0).standard_normal((6, 9)) + 3.0
-    want = row_statistics(x, 0.5)
-    scratch = x.copy()
-    got = row_statistics(scratch, 0.5, overwrite_rows=True)
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
-    assert not np.array_equal(scratch, x)
+    means = np.add.reduce(x, axis=-1) / 9
+    squares = x - means[:, None]
+    squares *= squares
+    bessel = np.add.reduce(squares, axis=-1) / 8
+    rows = x.copy()
+    got = row_statistics(rows, 0.5)
+    assert rows.tobytes() == squares.tobytes()
+    want = (means, bessel, 3.0 * (means - 0.5) / np.sqrt(bessel))
+    assert all(_bits(a) == _bits(b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("kind", ["array", "SamplePath"])
+def test_single_path_statistics_leave_the_sample_alone(kind):
+    # the kernel overwrites its rows, so each call works on its own copy
+    p = Ar1Params(mu=0.2, sigma=1.0, rho=0.6, n=40)
+    path = simulate_path(p, seed=8, stream=1)
+    sample = path if kind == "SamplePath" else path.values.copy()
+    values = getattr(sample, "values", sample)
+    kept = values.tobytes()
+    t_statistic(sample, mu=0.2)
+    assert values.tobytes() == kept
+    modified_t_statistic(sample, params=p)
+    assert values.tobytes() == kept
 
 
 def _bits(a) -> bytes:
@@ -153,21 +189,29 @@ def test_row_sums_follow_numpy_pairwise_order(rows):
     for n in _SUM_LENGTHS:
         x = rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(-5.0, 5.0, (rows, n))
         want = np.add.reduce(x, axis=-1)
+        squares = x - (want / n)[:, None]
+        squares *= squares
         with np.errstate(divide="ignore", invalid="ignore"):  # n = 1 has no variance
-            stats = row_statistics(x, 0.25)
-        assert _bits(stats[0]) == _bits(want / n)
+            bessel = np.add.reduce(squares, axis=-1) / (n - 1)
+            stats = (want / n, bessel, math.sqrt(n) * (want / n - 0.25) / np.sqrt(bessel))
         for layout in (x, np.asfortranarray(x)):
             assert _bits(_row_sums(layout)) == _bits(want), n
             with np.errstate(divide="ignore", invalid="ignore"):
-                got = row_statistics(layout, 0.25)
-                in_place = row_statistics(layout.copy(order="K"), 0.25, overwrite_rows=True)
+                got = row_statistics(layout.copy(order="K"), 0.25)
             assert all(_bits(a) == _bits(b) for a, b in zip(got, stats)), n
-            assert all(_bits(a) == _bits(b) for a, b in zip(in_place, stats)), n
 
 
 def test_row_sums_of_stacked_time_major_rows():
     x = np.random.default_rng(5).standard_normal((3, 4, 300))
     assert _bits(_row_sums(np.asfortranarray(x))) == _bits(np.add.reduce(x, axis=-1))
+
+
+@pytest.mark.parametrize("n", [3, 8, 300])
+def test_row_means_of_a_1d_row(n):
+    # a 1-D array is one row: its mean is a scalar with numpy's bits
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) * 10.0 ** rng.uniform(-5.0, 5.0, n)
+    assert _bits(tstat.row_means(x)) == _bits(np.add.reduce(x) / n)
 
 
 @pytest.mark.parametrize("n", [2, 7, 8, 13, 128, 129, 300])
@@ -182,9 +226,10 @@ def test_row_sums_keep_signed_zero_and_non_finite_bits(n):
     x[6, -1] = -np.inf
     with np.errstate(invalid="ignore"):
         want = np.add.reduce(x, axis=-1)
-        stats = row_statistics(x, 0.0)
-        # C order, F order, and a last axis with a stride of two elements
-        for layout in (x, np.asfortranarray(x), np.repeat(x, 2, axis=-1)[:, ::2]):
+        stats = row_statistics(x.copy(), 0.0)
+        # C order, F order, and a last axis with a stride of two elements,
+        # each a copy of x for the kernel to overwrite
+        for layout in (x.copy(), np.asfortranarray(x), np.repeat(x, 2, axis=-1)[:, ::2]):
             assert _bits(_row_sums(layout)) == _bits(want)
             got = row_statistics(layout, 0.0)
             assert all(_bits(a) == _bits(b) for a, b in zip(got, stats))
