@@ -14,98 +14,41 @@ The package covers four layers that cross-validate each other:
   (:mod:`~ar1_tstat.montecarlo`) plus an identity-verification harness
   (:mod:`~ar1_tstat.verification`).
 
-The public names load on first access (PEP 562), so ``import ar1_tstat``,
-which ``python -m ar1_tstat`` runs first, imports no numpy: the entry point
-can still put its one-thread BLAS default in the environment before numpy
-loads (one worker model, see :mod:`~ar1_tstat.__main__`).
+Each module's ``__all__`` is the one list of its public names; the package
+re-exports them lazily (PEP 562), searching the modules in ``_MODULES`` order.
+``import ar1_tstat``, which ``python -m ar1_tstat`` runs first, imports
+nothing, so the entry point can put its one-thread BLAS default in the
+environment before numpy loads (see :mod:`~ar1_tstat.__main__`). The first
+access of a name imports the modules ahead of its own (``params`` is first:
+``ar1_tstat.Ar1Params`` loads no numpy); ``__all__``, ``dir()`` and a name
+that no module lists import all nine.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-# module -> the public names it defines
-_EXPORTS = {
-    "params": ("Ar1Params", "STATIONARITY_MARGIN", "Functional"),
-    "matrices": (
-        "covariance_matrix",
-        "covariance_cholesky",
-        "cholesky_perturbation",
-        "precision_matrix",
-        "whitening_matrix",
-    ),
-    "process": (
-        "NormalLaw",
-        "SamplePath",
-        "stream_generator",
-        "paths_from_normals",
-        "simulate_path",
-        "linear_combination_law",
-    ),
-    "oracle": (
-        "QuadraticForm",
-        "centering_form",
-        "form_mean",
-        "form_variance",
-        "form_second_moment",
-        "scaled_mean_variance",
-        "mean_covariance_profile",
-    ),
-    "moments": (
-        "DISCREPANCY_RTOL",
-        "MomentQuantity",
-        "MomentReport",
-        "variance_of_scaled_mean",
-        "variance_of_scaled_mean_regrouped",
-        "covariance_with_mean",
-        "covariance_with_mean_total",
-        "covariance_with_mean_square_sum",
-        "mean_of_sample_variance",
-        "second_moment_of_sample_variance",
-        "variance_of_sample_variance",
-        "compare_moment",
-        "compare_all",
-    ),
-    "tstat": (
-        "StatKind",
-        "TStatResult",
-        "DegenerateSampleError",
-        "noncentrality",
-        "whiten",
-        "whitened_mean",
-        "t_statistic",
-        "modified_t_statistic",
-    ),
-    "student": ("StudentLaw", "QuadratureError"),
-    "montecarlo": (
-        "BLOCK_SIZE",
-        "SimulationConfig",
-        "EmpiricalSummary",
-        "KsReport",
-        "pool_layout",
-        "simulate_functional",
-        "sample_paths",
-        "summarize",
-        "ks_test",
-        "silverman_bandwidth",
-        "empirical_density",
-    ),
-    "verification": ("IdentityCheck", "VerificationReport", "run_verification"),
-}
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = ["__version__", *_MODULE_OF]
+_MODULES = (
+    "params", "matrices", "process", "oracle", "moments",
+    "tstat", "student", "montecarlo", "verification",
+)
 
 
 def __getattr__(name: str):
-    if name in _EXPORTS:
+    if name in _MODULES or name == "cli":  # cli's own names are not re-exported
         return importlib.import_module(f".{name}", __name__)
-    if name not in _MODULE_OF:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    modules = map(__getattr__, _MODULES)  # each imported when the search reaches it
+    if name == "__all__":
+        value = ["__version__", *(listed for module in modules for listed in module.__all__)]
+    else:
+        owner = next((module for module in modules if name in module.__all__), None)
+        if owner is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(owner, name)
     globals()[name] = value
     return value
 
 
 def __dir__():
-    return sorted({*globals(), *__all__, *_EXPORTS})
+    names = globals().get("__all__") or __getattr__("__all__")
+    return sorted({*globals(), *_MODULES, *names})

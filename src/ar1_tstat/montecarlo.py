@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import Ar1Params, Functional, integer
+from .params import Ar1Params, Functional, integer, philox_seed
 from .process import paths_from_normals, stream_generator
 from .tstat import row_means, row_statistics, whiten
 
@@ -60,12 +60,11 @@ class SimulationConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("replications", "seed", "workers"):
+        for name in ("replications", "workers"):
             object.__setattr__(self, name, integer(name, getattr(self, name)))
+        object.__setattr__(self, "seed", philox_seed(self.seed))
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 

@@ -50,7 +50,6 @@ __all__ = [
     "form_variance",
     "form_second_moment",
     "scaled_mean_variance",
-    "covariance_with_mean",
     "mean_covariance_profile",
 ]
 
@@ -187,7 +186,11 @@ def mean_covariance_profile(params: Ar1Params) -> np.ndarray:
 
 
 def covariance_with_mean(params: Ar1Params, j: int) -> float:
-    """Cov(sample mean, X_j) as the j-th entry of S 1 / n, 1-based j."""
+    """Cov(sample mean, X_j) as the j-th entry of S 1 / n, 1-based j.
+
+    Left out of __all__ (the public name is mean_covariance_profile); it
+    stays only because bench/spans.py traces it by name.
+    """
     j = integer("j", j)
     if not 1 <= j <= params.n:
         raise ValueError(f"j must lie in 1..{params.n}, got {j}")

@@ -9,6 +9,8 @@ import numbers
 import operator
 from dataclasses import dataclass
 
+__all__ = ["Ar1Params", "STATIONARITY_MARGIN", "Functional"]
+
 # |rho| may approach 1 only up to this margin: the stationary variance
 # sigma^2 / (1 - rho^2) diverges at the unit root, so boundary values are
 # rejected outright instead of producing huge, meaningless numbers.
@@ -28,6 +30,14 @@ def integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     return operator.index(value)
+
+
+def philox_seed(value) -> int:
+    """value as a seed: an integer in [0, 2**64), the range of a 64-bit Philox key."""
+    seed = integer("seed", value)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import Ar1Params, integer
+from .params import Ar1Params, integer, philox_seed
 
 __all__ = [
     "NormalLaw",
@@ -23,8 +23,6 @@ __all__ = [
     "paths_from_normals",
     "stream_generator",
 ]
-
-_MAX_SEED = 2**64  # Philox keys are 64-bit words
 
 
 @dataclass(frozen=True)
@@ -74,9 +72,7 @@ def stream_generator(seed: int, stream: int) -> np.random.Generator:
     Philox is counter-based, so the pair fully determines the draws, with
     no dependence on how many other streams exist or on scheduling.
     """
-    seed, stream = integer("seed", seed), integer("stream", stream)
-    if not 0 <= seed < _MAX_SEED:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    seed, stream = philox_seed(seed), integer("stream", stream)
     if stream < 0:
         raise ValueError(f"stream must be nonnegative, got {stream}")
     return np.random.Generator(np.random.Philox(key=seed).jumped(stream))

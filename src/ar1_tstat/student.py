@@ -127,9 +127,14 @@ class StudentLaw:
             - 0.5 * math.log(math.pi * k)
         )
         # exp(log_norm - (k+1)/2 log1p(t^2/k)), formed in one buffer
-        out = np.multiply(t, t, out=np.empty(t.shape))
-        out /= k
+        with np.errstate(over="ignore"):
+            out = np.multiply(t, t, out=np.empty(t.shape))
+            out /= k
         np.log1p(out, out=out)
+        if not out.max(initial=0.0) < math.inf:  # t^2/k overflowed, or t holds a NaN
+            # there log1p(t^2/k) is 2 log|t| - log k to double precision
+            past = np.isinf(out)
+            out[past] = 2.0 * np.log(np.abs(t[past])) - math.log(k)
         out *= -((k + 1.0) / 2.0)
         out += log_norm
         np.exp(out, out=out)
@@ -177,7 +182,9 @@ class StudentLaw:
         log_norm = -math.lgamma(k / 2.0) - 0.5 * math.log(math.pi * k)
 
         def at(tt: float) -> float:
-            return math.exp(log_norm - alpha * math.log1p(tt * tt / k) + peak_log) * total
+            x = tt * tt / k  # past float64, log1p(x) is 2 log|t| - log k, as in density_closed
+            log1p = math.log1p(x) if x < math.inf else 2.0 * math.log(abs(tt)) - math.log(k)
+            return math.exp(log_norm - alpha * log1p + peak_log) * total
 
         t_arr = np.asarray(t, dtype=float)
         if not t_arr.ndim:

@@ -22,7 +22,6 @@ from ar1_tstat import (
     compare_moment,
     covariance_with_mean,
     covariance_with_mean_square_sum,
-    covariance_with_mean_total,
     mean_covariance_profile,
     mean_of_sample_variance,
     second_moment_of_sample_variance,
@@ -31,6 +30,7 @@ from ar1_tstat import (
     variance_of_scaled_mean_regrouped,
 )
 from ar1_tstat import oracle
+from ar1_tstat.moments import covariance_with_mean_total
 from ar1_tstat.oracle import centering_form, form_mean, form_variance, scaled_mean_variance
 
 GRID_N = [2, 3, 5, 10, 50, 200]

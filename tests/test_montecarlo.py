@@ -48,6 +48,18 @@ def test_config_validation():
         SimulationConfig(params=p, replications=10, seed=1, workers=0)
 
 
+@pytest.mark.parametrize("seed", [2**64, -1, 2**70])
+def test_config_rejects_a_seed_outside_philox_keys(seed):
+    p = Ar1Params(mu=0.0, sigma=1.0, rho=0.0, n=4)
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+        SimulationConfig(params=p, replications=10, seed=seed)
+
+
+def test_config_accepts_the_largest_philox_key():
+    p = Ar1Params(mu=0.0, sigma=1.0, rho=0.0, n=4)
+    assert SimulationConfig(params=p, replications=10, seed=2**64 - 1).seed == 2**64 - 1
+
+
 @pytest.mark.parametrize(
     "field, bad", [("seed", 3.7), ("replications", True), ("workers", 2.0), ("seed", np.True_)]
 )

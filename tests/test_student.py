@@ -92,6 +92,44 @@ def test_large_dof_density_against_mpmath(dof):
             assert abs((got - want) / want) < 1e-8
 
 
+def _density_reference(dof, t):
+    with mpmath.workdps(50):
+        k, t = mpmath.mpf(dof), mpmath.mpf(t)
+        return mpmath.exp(
+            mpmath.loggamma((k + 1) / 2) - mpmath.loggamma(k / 2)
+            - mpmath.log(mpmath.pi * k) / 2 - (k + 1) / 2 * mpmath.log1p(t * t / k)
+        )
+
+
+@pytest.mark.parametrize(
+    "dof, t",
+    [(0.5, 1e154), (0.5, -1e154), (0.5, 2e154), (0.5, -2e154), (0.5, 1e200), (1.0, 2e154)],
+)
+def test_density_where_t_squared_over_dof_overflows(dof, t):
+    # t^2/k is past float64 here; both routes read log1p(t^2/k) as
+    # 2 log|t| - log k instead of returning 0.0 (or warning)
+    law = StudentLaw(dof)
+    want = _density_reference(dof, t)
+    assert want > 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        closed = law.density_closed(t)
+        array = law.density_closed(np.array([t, 0.0, np.inf]))
+        integral = law.density_integral(t)
+    for got in (closed, array[0], integral):
+        assert abs((got - want) / want) < 1e-12
+    assert array[0] == closed and array[2] == 0.0
+
+
+def test_density_past_the_float_range_still_underflows_to_zero():
+    law = StudentLaw(9.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        closed = [law.density_closed(1e300), law.density_closed(-1e300)]
+        integral = law.density_integral(1e300)
+    assert closed == [0.0, 0.0] and integral == 0.0
+
+
 @pytest.mark.parametrize("dof", [7e6, 1e8, 1e12, 1e300])
 def test_huge_dof_raises(dof):
     # from about dof 6.04e6 the exponent's rounding alone exceeds 1e-8: the
