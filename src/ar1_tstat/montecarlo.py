@@ -208,7 +208,7 @@ def summarize(values) -> EmpiricalSummary:
     if r < 2:
         raise ValueError("need at least two usable replications")
     mean = float(np.mean(finite))
-    centered = finite - mean
+    centered = np.subtract(finite, mean, out=finite)  # finite is a copy
     m2 = float(np.mean(centered * centered))
     m4 = float(np.mean(centered**4))
     variance = m2 * r / (r - 1)

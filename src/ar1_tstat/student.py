@@ -76,11 +76,16 @@ def _panel_integrals(func, edges: np.ndarray, out: np.ndarray | None = None) -> 
     along the panels; one transposed copy puts func's values back in
     (panels, 24) rows for the weight product. Each panel's arithmetic is
     that of a single row-major pass over all of them, bit for bit.
+
+    The chunks run last first, so out may be edges[1:]: a chunk writes only
+    edges above its own lower edge, which no lower chunk reads. The chunk
+    boundaries stay at multiples of 4,096 from the first panel, because the
+    BLAS weight product's bits depend on a row's position in its chunk.
     """
     count = edges.size - 1
     if out is None:
         out = np.empty(count)
-    for start in range(0, count, _PANEL_CHUNK):
+    for start in reversed(range(0, count, _PANEL_CHUNK)):
         stop = min(start + _PANEL_CHUNK, count)
         lo, hi = edges[start:stop], edges[start + 1 : stop + 1]
         half_width = 0.5 * (hi - lo)
@@ -203,10 +208,16 @@ class StudentLaw:
         argument adds panel edges only at or above every other one, so it
         cannot change any other argument's prefix sum. The panels are
         evaluated in chunks of 4,096 (_panel_integrals), so memory grows
-        neither with |t| nor beyond a few arrays of the argument's size with
-        the number of arguments. The bounds at _TAIL_SPLIT assume
-        density_closed exact; its log-gamma normalisation is 2e-13 off at
-        dof 999.
+        neither with |t| nor beyond about two and a half arrays of the
+        argument's size with the number of arguments. The bounds at
+        _TAIL_SPLIT assume density_closed exact; its log-gamma normalisation
+        is 2e-13 off at dof 999.
+
+        The panel edges are the union of every |t| in the call, so a value
+        is a function of the set of magnitudes in the call: the order of the
+        arguments and their repeats move no bit, but another set may move
+        the last bits. StudentLaw(9).cdf(1.0) is 0.8282818019310427, and
+        entry 6000 of cdf(np.linspace(-5, 5, 10001)) is 0.8282818019310431.
         """
         ts = np.asarray(t, dtype=float)
         flat = ts.ravel()
@@ -227,26 +238,38 @@ class StudentLaw:
     def _head_cdf(self, mag: np.ndarray, negative: np.ndarray) -> np.ndarray:
         """The cdf at arguments of magnitude mag <= _TAIL_SPLIT; negative marks those below 0.
 
-        Each full-size temporary is freed before the next one is made, so
-        the peak stays near four arrays of the arguments' size.
+        Works in two argument-sized buffers, mag and the panel edges, and
+        returns mag overwritten with the result. The edges (the ladder and
+        every magnitude) are sorted and deduplicated in place, as np.unique
+        would; each argument's edge position is stored in mag as a float64,
+        exact below 2**53; then the edges are overwritten by the panel
+        integrals and their prefix sums, from which each position reads
+        its value. Other temporaries are one _PANEL_CHUNK in size.
         """
         ladder = np.arange(0.0, float(mag.max(initial=0.0)) + _PANEL_WIDTH, _PANEL_WIDTH)
-        # np.unique(edges), sorted and deduplicated without its copies
         edges = np.concatenate((ladder, mag))
         edges.sort()
-        edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
-        cumulative = np.empty(edges.size)
-        cumulative[0] = 0.0
-        panels = _panel_integrals(self.density_closed, edges, out=cumulative[1:])
-        np.cumsum(panels, out=panels)
-        index = np.searchsorted(edges, mag)
-        del edges
-        half = cumulative[index]
-        del cumulative, index
+        # keep the first of each run; the writes never pass the read position,
+        # so each block is compared with values not yet overwritten
+        size = 1
+        for start in range(1, edges.size, _PANEL_CHUNK):
+            block = edges[start : start + _PANEL_CHUNK]
+            kept = block[block != edges[start - 1 : start - 1 + block.size]]
+            edges[size : size + kept.size] = kept
+            size += kept.size
+        edges = edges[:size]
+        chunks = [mag[i : i + _PANEL_CHUNK] for i in range(0, mag.size, _PANEL_CHUNK)]
+        for chunk in chunks:
+            chunk[...] = np.searchsorted(edges, chunk)
+        _panel_integrals(self.density_closed, edges, out=edges[1:])
+        edges[0] = 0.0
+        np.cumsum(edges[1:], out=edges[1:])
+        for chunk in chunks:
+            np.take(edges, chunk.astype(np.intp), out=chunk)
         # 0.5 - half is 0.5 + (-half), bit for bit
-        np.negative(half, out=half, where=negative)
-        half += 0.5
-        return half
+        np.negative(mag, out=mag, where=negative)
+        mag += 0.5
+        return mag
 
     def _tail_mass(self, mag: np.ndarray) -> np.ndarray:
         """P(T > m) for magnitudes m > _TAIL_SPLIT (inf allowed)."""

@@ -242,6 +242,31 @@ def test_summarize_needs_two_values():
         summarize(np.array([np.nan, 1.0]))
 
 
+def _traced_peak(func, *args):
+    tracemalloc.start()
+    try:
+        func(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_summarize_memory_at_a_million_values():
+    # the finite copy is centered in place, so it and one product of it are
+    # alive at a time; centering into a new array made it three arrays
+    values = np.random.default_rng(314).standard_t(9.0, 1_000_000)
+    before = values.copy()
+    assert _traced_peak(summarize, values) < 2.25 * values.nbytes
+    assert np.array_equal(values, before)
+
+
+def test_ks_test_memory_with_the_student_cdf():
+    # the sorted copy, the cdf's two buffers (the first becomes its result)
+    # and then one rank-gap array: 4.95 arrays when the cdf held four
+    sample = np.round(np.random.default_rng(314).standard_t(2.0, 1_000_000), 6)
+    assert _traced_peak(ks_test, sample, StudentLaw(9.0).cdf) < 3.75 * sample.nbytes
+
+
 def test_kolmogorov_sf_against_scipy():
     for x in (0.3, 0.5, 0.8, 1.0, 1.36, 2.0):
         assert _kolmogorov_sf(x) == pytest.approx(stats.kstwobign.sf(x), rel=1e-9)

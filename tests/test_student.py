@@ -288,40 +288,126 @@ def test_cdf_memory_does_not_grow_with_argument_count():
     assert np.all(np.diff(values) >= 0.0)
 
 
-def test_cdf_peak_at_a_million_sorted_arguments():
-    # ks_test's call: sorted, a few ties, 1,087 beyond |t| = 30. With
-    # np.unique, full-size mid/half_width arrays and out-of-place signs,
-    # sums and clipping the peak here is 71.6 MB; with head and tail copies
-    # of the arguments made through boolean masks, 39.1 MB
+def _traced_peak(func, *args):
+    tracemalloc.start()
+    try:
+        func(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _ks_sample():
+    # ks_test's call: sorted, a few ties, 1,087 beyond |t| = 30
     rng = np.random.default_rng(314)
     t = np.sort(np.round(rng.standard_t(2.0, 1_000_000), 6))
     assert np.any(np.abs(t) > student._TAIL_SPLIT) and np.any(t[1:] == t[:-1])
-    law = StudentLaw(9.0)
-    tracemalloc.start()
-    try:
-        law.cdf(t)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 36 * 2**20
+    return t
+
+
+def test_cdf_peak_at_a_million_sorted_arguments():
+    # the head holds the clipped magnitudes and one edges buffer, 2.53
+    # arguments' worth at its peak. With np.unique, full-size mid/half_width
+    # arrays and out-of-place signs, sums and clipping the peak here was
+    # 71.6 MB; with the deduplicated copy, the index array and the gathered
+    # result beside the edges, 30.2 MB (3.95 arrays)
+    t = _ks_sample()
+    assert _traced_peak(StudentLaw(9.0).cdf, t) < 2.75 * t.nbytes
+
+
+def test_cdf_peak_at_a_million_permuted_arguments():
+    t = np.random.default_rng(2718).permutation(_ks_sample())
+    assert _traced_peak(StudentLaw(9.0).cdf, t) < 2.75 * t.nbytes
+
+
+def _sorted_edges(t):
+    # the head's ladder and every magnitude, sorted, before the dedupe
+    mag = np.abs(t)
+    top = float(mag.max(initial=0.0)) + student._PANEL_WIDTH
+    return np.sort(np.concatenate((np.arange(0.0, top, student._PANEL_WIDTH), mag)))
+
+
+def _unique_edges(t):
+    return np.unique(_sorted_edges(t))
+
+
+def _unique_route(law, t):
+    # the head as np.unique, a prefixed cumsum and np.where gave it
+    mag = np.abs(t)
+    edges = _unique_edges(t)
+    panels = _panel_integrals(law.density_closed, edges)
+    half = np.concatenate(([0.0], np.cumsum(panels)))[np.searchsorted(edges, mag)]
+    return np.clip(np.where(t >= 0.0, 0.5 + half, 0.5 - half), 0.0, 1.0)
+
+
+def _tie_at_a_block_start(t):
+    # the in-place dedupe reads the sorted edges _PANEL_CHUNK at a time from
+    # index 1; true when a block's first edge equals the one before it
+    edges = _sorted_edges(t)
+    starts = np.arange(1 + _PANEL_CHUNK, edges.size, _PANEL_CHUNK)
+    return bool(np.any(edges[starts] == edges[starts - 1]))
 
 
 @pytest.mark.parametrize("dof", [1.0, 9.0, 999.0])
-def test_cdf_head_matches_unique_route(dof):
-    # the head as np.unique, a prefixed cumsum and np.where gave it
+def test_cdf_head_matches_unique_route(dof, monkeypatch):
     rng = np.random.default_rng(int(dof))
     t = np.concatenate((np.round(rng.uniform(-30.0, 30.0, 5000), 3), [0.0, -0.0, 30.0, -30.0]))
+    # more than two chunks of distinct magnitudes, each three times with
+    # random signs, so that ties straddle the dedupe's block starts
+    base = np.round(rng.uniform(0.0, 30.0, 9000), 4)
+    many = rng.permutation(np.repeat(base, 3) * rng.choice([-1.0, 1.0], 3 * base.size))
+    assert np.unique(np.abs(many)).size > 2 * _PANEL_CHUNK and _tie_at_a_block_start(many)
+    argument_sets = {
+        "values": t,
+        "permuted": rng.permutation(t),
+        "every value twice": np.repeat(t, 2),
+        "empty": np.array([]),
+        "one": np.array([-1.25]),
+        "ladder points, signed zeros and 30": np.array(
+            [0.0, -0.0, 0.5, -0.5, 1.0, 29.5, -29.5, 30.0, -30.0]
+        ),
+        "many": many,
+    }
     law = StudentLaw(dof)
-    mag = np.abs(t)
-    ladder = np.arange(0.0, float(mag.max()) + student._PANEL_WIDTH, student._PANEL_WIDTH)
-    edges = np.unique(np.concatenate((ladder, mag)))
-    panels = _panel_integrals(law.density_closed, edges)
-    half = np.concatenate(([0.0], np.cumsum(panels)))[np.searchsorted(edges, mag)]
-    expected = np.clip(np.where(t >= 0.0, 0.5 + half, 0.5 - half), 0.0, 1.0)
-    assert np.array_equal(law.cdf(t), expected)
+    integrated = []
+
+    def recorded(func, edges, out=None):
+        integrated.append(edges.copy())
+        return _panel_integrals(func, edges, out)
+
+    for name, values in argument_sets.items():
+        expected = _unique_route(law, values)
+        integrated.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(student, "_panel_integrals", recorded)
+            assert np.array_equal(law.cdf(values), expected), name
+        # the in-place dedupe hands the head np.unique's edges
+        assert np.array_equal(integrated[0], _unique_edges(values)), name
     # the same bits when tail arguments share the call
     mixed = law.cdf(np.concatenate((t, [-31.0, 1e9])))[: t.size]
-    assert np.array_equal(mixed, expected)
+    assert np.array_equal(mixed, _unique_route(law, t))
+
+
+@pytest.mark.parametrize("dof", [0.7, 9.0, 300.0])
+def test_cdf_is_a_function_of_the_set_of_magnitudes(dof):
+    # the panel edges are the union of every |t| in the call, so neither the
+    # order of the arguments nor their repeats can move a bit
+    law = StudentLaw(dof)
+    grid = np.linspace(-5.0, 5.0, 10001)
+    batch = law.cdf(grid)
+    order = np.random.default_rng(5).permutation(grid.size)
+    assert np.array_equal(law.cdf(grid[order]), batch[order])
+    assert np.array_equal(law.cdf(np.repeat(grid, 3)), np.repeat(batch, 3))
+
+
+def test_cdf_of_another_set_moves_only_the_last_bits():
+    law = StudentLaw(9.0)
+    grid = np.linspace(-5.0, 5.0, 10001)
+    batch = law.cdf(grid)
+    # cdf(1.0) is 0.8282818019310427 and batch[6000] 0.8282818019310431
+    # under numpy 2.4's AVX512 dispatch: the sets differ, so the last bits may
+    scalars = np.array([law.cdf(float(x)) for x in grid[::10]])
+    assert np.max(np.abs(scalars - batch[::10])) <= 1e-14
 
 
 def _one_shot_panels(func, edges):
@@ -347,8 +433,13 @@ def test_chunked_panels_match_one_shot(panels):
         return law.density_closed(nodes)
 
     chunked = _panel_integrals(density, edges)
-    assert calls == [min(_PANEL_CHUNK, panels - start) for start in range(0, panels, _PANEL_CHUNK)]
+    # the last chunk first, so out may be edges[1:]
+    starts = reversed(range(0, panels, _PANEL_CHUNK))
+    assert calls == [min(_PANEL_CHUNK, panels - start) for start in starts]
     assert np.array_equal(chunked, _one_shot_panels(law.density_closed, edges))
+    shared = edges.copy()
+    _panel_integrals(law.density_closed, shared, out=shared[1:])
+    assert shared[0] == edges[0] and np.array_equal(shared[1:], chunked)
 
 
 def test_cdf_tail_chunks_match_one_shot(monkeypatch):
