@@ -1,12 +1,13 @@
 """Command-line front end: moment tables, verification, simulation, densities.
 
-Every subcommand writes its primary output to --out plus a JSON manifest at
-<out>.manifest.json recording the invocation. Outputs embed nothing
-time- or host-dependent, so a rerun with the same arguments is
-byte-identical; the manifest (which carries a timestamp, the environment,
-the wall time of each phase, the peak RSS and the minor page faults) is the
-only file that differs. Exit codes: 0 success, 1 verification failure, 2
-usage or validation error, or a run that could not finish (failed
+Each subcommand's handler writes its primary output to --out and returns its
+exit code, the files it wrote and its simulation config; from them main writes
+a JSON manifest at <out>.manifest.json recording the invocation, unless the
+run exits 2. Outputs embed nothing time- or host-dependent, so a rerun with
+the same arguments is byte-identical; the manifest (which carries a timestamp,
+the environment, the wall time of each phase, the peak RSS and the minor page
+faults) is the only file that differs. Exit codes: 0 success, 1 verification
+failure, 2 usage or validation error, or a run that could not finish (failed
 quadrature, broken worker pool, out of memory).
 
 The module loads only numpy and the parameter types: each subcommand
@@ -181,8 +182,8 @@ def _write_manifest(
     argv: list[str],
     outputs: list[str],
     phases: dict[str, float],
-    config: SimulationConfig | None = None,
-) -> str:
+    config: SimulationConfig | None,
+) -> None:
     manifest = {
         "command": command,
         "params": None if config is None else dataclasses.asdict(config.params),
@@ -195,19 +196,16 @@ def _write_manifest(
         "environment": _environment(config),
         "run": {"wall_s": dict(phases), **_resource_usage()},
     }
-    path = f"{out_path}.manifest.json"
-    _write_json(path, manifest)
-    return path
+    _write_json(f"{out_path}.manifest.json", manifest)
 
 
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_table_moments(args, argv) -> int:
+def cmd_table_moments(args, phases):
     n_grid = _parse_grid(args.grid_n, integer=True)
     rho_grid = _parse_grid(args.grid_rho)
     sigma = float(args.sigma)
-    phases: dict[str, float] = {}
     with _phase(phases, "import"):
         from .moments import MomentQuantity
         from .verification import moment_grid
@@ -231,12 +229,10 @@ def cmd_table_moments(args, argv) -> int:
             rows.append(row)
     with _phase(phases, "write"):
         _write_csv(args.out, rows)
-    _write_manifest(args.out, "table-moments", argv, [args.out], phases)
-    return 0
+    return 0, [args.out], None
 
 
-def cmd_verify(args, argv) -> int:
-    phases: dict[str, float] = {}
+def cmd_verify(args, phases):
     with _phase(phases, "import"):
         from .verification import SMALL_N_GRID, SMALL_RHO_GRID, run_verification
     if args.grid == "small":
@@ -266,8 +262,7 @@ def cmd_verify(args, argv) -> int:
     )
     with _phase(phases, "write"):
         _write_json(args.out, report.as_dict())
-    _write_manifest(args.out, "verify", argv, [args.out], phases)
-    return 0 if report.passed else 1
+    return 0 if report.passed else 1, [args.out], None
 
 
 def _reference_cdf(functional: Functional, params: Ar1Params):
@@ -312,8 +307,11 @@ def _simulate(
     return config, functional, values
 
 
-def cmd_simulate(args, argv) -> int:
-    phases: dict[str, float] = {}
+def cmd_simulate(args, phases):
+    if args.values_out and os.path.realpath(args.values_out) in {
+        os.path.realpath(path) for path in (args.out, f"{args.out}.manifest.json")
+    }:
+        raise ValueError(f"--values-out {args.values_out} would overwrite --out or its manifest")
     with _phase(phases, "import"):
         from . import student  # noqa: F401 -- _reference_cdf's Student law
         from .montecarlo import ks_test, summarize
@@ -358,15 +356,13 @@ def cmd_simulate(args, argv) -> int:
             with open(args.values_out, "w", newline="") as handle:
                 handle.write("value\n" + "".join(f"{v:.17g}\n" for v in values.tolist()))
             outputs.append(args.values_out)
-    _write_manifest(args.out, "simulate", argv, outputs, phases, config)
-    return 0
+    return 0, outputs, config
 
 
-def cmd_density(args, argv) -> int:
+def cmd_density(args, phases):
     if (args.dof is None) == (args.functional is None):
         raise ValueError("give exactly one of --dof (law mode) or --functional (simulation mode)")
     grid = np.asarray(_parse_grid(args.grid_t), dtype=float)
-    phases: dict[str, float] = {}
     config = None
     if args.dof is not None:
         with _phase(phases, "import"):
@@ -400,8 +396,7 @@ def cmd_density(args, argv) -> int:
         rows = [{"t": float(t), "kde": float(d)} for t, d in zip(grid, kde)]
     with _phase(phases, "write"):
         _write_csv(args.out, rows)
-    _write_manifest(args.out, "density", argv, [args.out], phases, config)
-    return 0
+    return 0, [args.out], config
 
 
 # -- parser wiring ------------------------------------------------------------
@@ -550,8 +545,11 @@ def main(argv=None) -> int:
             parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    phases: dict[str, float] = {}
     try:
-        return args.handler(args, argv)
+        code, outputs, config = args.handler(args, phases)
+        _write_manifest(args.out, args.command, argv, outputs, phases, config)
+        return code
     except Exception as exc:
         if not isinstance(exc, (ValueError, TypeError, OSError, MemoryError)):
             # a run that could not finish; its modules are loaded only on this path

@@ -51,7 +51,6 @@ __all__ = [
     "second_moment_of_sample_variance",
     "variance_of_sample_variance",
     "compare_moment",
-    "compare_all",
 ]
 
 # A closed form whose relative gap to the trace oracle exceeds this is
@@ -114,8 +113,8 @@ def covariance_with_mean_total(params: Ar1Params) -> float:
     """Sum over j of covariance_with_mean, i.e. n Var(sample mean).
 
     The closed form of the total coincides with variance_of_scaled_mean,
-    the public name; this one is left out of __all__ and stays for
-    verification's call, which bench/spans.py traces by name.
+    the public name; this one is left out of __all__, has no caller in
+    the package and stays only because bench/spans.py traces it by name.
     """
     return variance_of_scaled_mean(params)
 
@@ -296,8 +295,3 @@ def compare_moment(quantity: MomentQuantity, params: Ar1Params) -> MomentReport:
         rel_gap=rel_gap,
         discrepant=not rel_gap <= DISCREPANCY_RTOL,
     )
-
-
-def compare_all(params: Ar1Params) -> list[MomentReport]:
-    """Reports for every quantity of MomentQuantity."""
-    return [compare_moment(q, params) for q in MomentQuantity]

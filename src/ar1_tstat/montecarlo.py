@@ -96,16 +96,11 @@ class KsReport:
     reference: str
 
 
-def _block_layout(replications: int) -> list[tuple[int, int]]:
-    """(block index, rows) pairs covering the requested replications."""
-    starts = range(0, replications, BLOCK_SIZE)
-    return [(b, min(BLOCK_SIZE, replications - start)) for b, start in enumerate(starts)]
-
-
 def pool_layout(config: SimulationConfig) -> tuple[list[tuple[int, int]], int]:
-    """The (block index, rows) pairs of a simulation and the number of
-    processes that run them: config.workers, but never more than the blocks."""
-    blocks = _block_layout(config.replications)
+    """The (block index, rows) pairs covering the replications and the number
+    of processes that run them: config.workers, but never more than the blocks."""
+    starts = range(0, config.replications, BLOCK_SIZE)
+    blocks = [(b, min(BLOCK_SIZE, config.replications - s)) for b, s in enumerate(starts)]
     return blocks, min(config.workers, len(blocks))
 
 
@@ -186,9 +181,8 @@ def simulate_functional(config: SimulationConfig, functional: Functional) -> np.
 
 def sample_paths(config: SimulationConfig) -> np.ndarray:
     """All replication paths as a (replications, n) array, block order."""
-    blocks = _block_layout(config.replications)
     paths = np.empty((config.replications, config.params.n))
-    for offset, tile in _path_tiles(config.params, config.seed, blocks):
+    for offset, tile in _path_tiles(config.params, config.seed, pool_layout(config)[0]):
         paths[offset : offset + len(tile)] = tile
     return paths
 
@@ -322,7 +316,8 @@ def empirical_density(samples, grid, bandwidth: float | None = None) -> np.ndarr
     grid : array_like
         Evaluation points.
     bandwidth : float, optional
-        Positive kernel width; Silverman's rule when omitted.
+        Positive kernel width, not so small that the peak density overflows;
+        Silverman's rule when omitted.
     """
     samples = np.asarray(samples, dtype=float)
     samples = np.sort(samples[np.isfinite(samples)])
@@ -333,8 +328,10 @@ def empirical_density(samples, grid, bandwidth: float | None = None) -> np.ndarr
     bandwidth = float(bandwidth)
     if not bandwidth > 0.0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    grid = np.asarray(grid, dtype=float)
     norm = 1.0 / (samples.size * bandwidth * math.sqrt(2.0 * math.pi))
+    if math.isinf(norm):  # every density would be inf, or NaN (norm * 0.0) in an empty window
+        raise ValueError(f"bandwidth {bandwidth} is too small for {samples.size} samples")
+    grid = np.asarray(grid, dtype=float)
     out = np.empty(grid.shape)
     flat = grid.ravel()
     flat_out = out.reshape(-1)
@@ -344,9 +341,6 @@ def empirical_density(samples, grid, bandwidth: float | None = None) -> np.ndarr
     widest = int((his - los).max(initial=0))
     z_buffer, kernel_buffer = np.empty(widest), np.empty(widest)
     for i, (x, lo, hi) in enumerate(zip(flat, los, his)):
-        if hi == lo:
-            flat_out[i] = 0.0
-            continue
         z = np.subtract(samples[lo:hi], x, out=z_buffer[: hi - lo])
         z /= bandwidth
         kernel = np.multiply(z, -0.5, out=kernel_buffer[: hi - lo])

@@ -8,16 +8,14 @@ the bits of C-ordered paths.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .params import Ar1Params
+from .params import Ar1Params, Functional
 
 __all__ = [
-    "StatKind",
     "TStatResult",
     "DegenerateSampleError",
     "row_means",
@@ -30,11 +28,6 @@ __all__ = [
 ]
 
 
-class StatKind(enum.Enum):
-    CLASSICAL = "classical"
-    MODIFIED = "modified"
-
-
 class DegenerateSampleError(ValueError):
     """All sample values identical: the Bessel variance vanishes."""
 
@@ -43,15 +36,16 @@ class DegenerateSampleError(ValueError):
 class TStatResult:
     """A t-statistic value together with its building blocks.
 
-    whitened_mean is filled only for the modified statistic: it is the
-    exact expectation of the average whitened coordinate, which differs
-    from mu whenever mu != 0.
+    kind is Functional.T_STAT or Functional.MODIFIED_T_STAT, the engine's
+    names of the two statistics. whitened_mean is filled only for the
+    modified statistic: it is the exact expectation of the average
+    whitened coordinate, which differs from mu whenever mu != 0.
     """
 
     value: float
     sample_mean: float
     bessel_variance: float
-    kind: StatKind
+    kind: Functional
     whitened_mean: float | None = None
 
 
@@ -191,11 +185,11 @@ def row_statistics(rows: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray,
 
 
 def _single_path(
-    values: np.ndarray, mu: float, kind: StatKind, message: str, whitened_mean: float | None = None
+    values: np.ndarray, mu: float, kind: Functional, error: str, whitened_mean: float | None = None
 ) -> TStatResult:
     mean, bessel, value = (float(a[0]) for a in row_statistics(values[None, :], mu))
     if bessel == 0.0:
-        raise DegenerateSampleError(message)
+        raise DegenerateSampleError(error)
     return TStatResult(value, mean, bessel, kind, whitened_mean)
 
 
@@ -221,7 +215,7 @@ def t_statistic(path_or_values, mu: float = 0.0) -> TStatResult:
     return _single_path(
         _values_of(path_or_values),
         mu,
-        StatKind.CLASSICAL,
+        Functional.T_STAT,
         "sample variance is zero (all values identical); t-statistic undefined",
     )
 
@@ -259,7 +253,7 @@ def modified_t_statistic(
     return _single_path(
         whiten(values, params.rho, out=values),
         params.mu,
-        StatKind.MODIFIED,
+        Functional.MODIFIED_T_STAT,
         "whitened sample variance is zero; modified t-statistic undefined",
         whitened_mean(params),
     )

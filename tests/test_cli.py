@@ -294,6 +294,28 @@ def test_simulate_values_dump(tmp_path):
     assert manifest["outputs"] == [str(out), str(vals)]
 
 
+@pytest.mark.parametrize(
+    "alias", ["sim.csv", "sub/../sim.csv", "link.csv", "sim.csv.manifest.json"]
+)
+def test_values_out_may_not_overwrite_the_summary_or_its_manifest(
+    tmp_path, capsys, monkeypatch, alias
+):
+    # rejected before simulating: the value dump would replace the file it names
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.csv").symlink_to(tmp_path / "sim.csv")
+    monkeypatch.setattr(montecarlo, "simulate_functional", _raise(AssertionError("simulated")))
+    rc = main(
+        [
+            "simulate", "--functional", "mean", "--n", "4", "--rho", "0",
+            "--reps", "10", "--seed", "5", "--out", str(tmp_path / "sim.csv"),
+            "--values-out", str(tmp_path / alias),
+        ]
+    )
+    assert rc == 2
+    _assert_one_line_error(capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "sub"]
+
+
 # SHA-256 of `simulate --values-out` at n=7, rho=0.3, mu=0.2, seed 2024 and
 # BLOCK_SIZE + 9 replications (a full block plus a partial one). A change of
 # numpy's random stream, of the recursion or of the statistic kernel moves
@@ -880,6 +902,52 @@ def test_manifest_records_argv(tmp_path):
     assert not set(env["simd"]["baseline"]) & set(env["simd"]["dispatch"])
 
 
+MANIFEST_KEYS = [
+    "command", "params", "seed", "replications", "tool_version", "timestamp",
+    "outputs", "argv", "environment", "run",
+]
+SIM_FLAGS = ["--n", "4", "--rho", "0.3", "--reps", "300", "--seed", "5"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, simulated",
+    [
+        (["table-moments", "--grid-n", "2", "--grid-rho", "0.5"], 0, False),
+        (["verify", "--grid-n", "5", "--grid-rho", "0.5"], 0, False),
+        (["verify", "--grid-n", "5", "--grid-rho", "0.5", "--tol", "0"], 1, False),
+        (["simulate", "--functional", "tstat", *SIM_FLAGS, "--values-out", "VALUES"], 0, True),
+        (["density", "--dof", "3", "--grid-t", "0,1"], 0, False),
+        (["density", "--functional", "s2", *SIM_FLAGS, "--grid-t", "0,1"], 0, True),
+        (["simulate", "--functional", "tstat", *SIM_FLAGS, "--rho", "1.5"], 2, True),
+    ],
+    ids=[
+        "table-moments", "verify", "verify-fails", "simulate", "density-law", "density-kde",
+        "usage-error",
+    ],
+)
+def test_main_writes_each_run_record(tmp_path, capsys, argv, code, simulated):
+    out, values, record = tmp_path / "out", tmp_path / "values.csv", tmp_path / "out.manifest.json"
+    dumps = "VALUES" in argv
+    argv = [str(values) if token == "VALUES" else token for token in argv] + ["--out", str(out)]
+    assert main(argv) == code
+    if code == 2:
+        # a run that could not start or finish leaves no record
+        _assert_one_line_error(capsys)
+        assert not record.exists() and not out.exists()
+        return
+    # a failed verification (exit 1) still writes its report and the manifest
+    assert out.exists() and values.exists() == dumps
+    manifest = json.loads(record.read_text())
+    assert list(manifest) == MANIFEST_KEYS
+    assert manifest["command"] == argv[0]
+    assert manifest["argv"] == argv
+    assert manifest["outputs"] == [str(out)] + ([str(values)] if dumps else [])
+    assert (manifest["params"] is not None) == simulated
+    assert (manifest["seed"], manifest["replications"]) == ((5, 300) if simulated else (None, None))
+    assert ("workers" in manifest["environment"]) == simulated
+    assert manifest["run"]["wall_s"]["write"] >= 0.0
+
+
 def test_manifest_simd_drops_a_target_numpy_was_told_to_disable(tmp_path):
     argv = ["table-moments", "--grid-n", "2", "--grid-rho", "0.5", "--out"]
     assert main(argv + [str(tmp_path / "host.csv")]) == 0
@@ -887,7 +955,10 @@ def test_manifest_simd_drops_a_target_numpy_was_told_to_disable(tmp_path):
     if not host["dispatch"]:
         pytest.skip("the host enables no dispatch target beyond numpy's baseline")
     target = host["dispatch"][-1]  # the highest: no enabled target builds on it
-    done = _run_module(argv + [str(tmp_path / "off.csv")], NPY_DISABLE_CPU_FEATURES=target)
+    # appended to any inherited list, which would otherwise come back on in the child
+    inherited = os.environ.get("NPY_DISABLE_CPU_FEATURES", "")
+    disabled = f"{inherited} {target}".strip()
+    done = _run_module(argv + [str(tmp_path / "off.csv")], NPY_DISABLE_CPU_FEATURES=disabled)
     assert done.returncode == 0, done.stderr
     off = json.loads((tmp_path / "off.csv.manifest.json").read_text())["environment"]["simd"]
     assert off["baseline"] == host["baseline"]

@@ -18,7 +18,6 @@ from ar1_tstat import (
     DISCREPANCY_RTOL,
     MomentQuantity,
     MomentReport,
-    compare_all,
     compare_moment,
     covariance_with_mean,
     covariance_with_mean_square_sum,
@@ -213,24 +212,6 @@ def test_compare_moment_report_fields():
     assert report.abs_gap == abs(report.closed_form - report.oracle)
     assert not report.discrepant
     assert report.authoritative == report.closed_form
-
-
-def test_compare_all_covers_every_scalar_quantity():
-    p = Ar1Params(mu=0.0, sigma=1.0, rho=0.7, n=12)
-    reports = compare_all(p)
-    kinds = {r.quantity for r in reports}
-    assert kinds == {
-        MomentQuantity.SCALED_MEAN_VARIANCE,
-        MomentQuantity.MEAN_COVARIANCE_SQUARE_SUM,
-        MomentQuantity.SAMPLE_VARIANCE_MEAN,
-        MomentQuantity.SAMPLE_VARIANCE_SECOND_MOMENT,
-        MomentQuantity.SAMPLE_VARIANCE_VARIANCE,
-    }
-    flagged = {r.quantity for r in reports if r.discrepant}
-    assert flagged == {
-        MomentQuantity.SAMPLE_VARIANCE_SECOND_MOMENT,
-        MomentQuantity.SAMPLE_VARIANCE_VARIANCE,
-    }
 
 
 def test_extreme_corner_keeps_precision():

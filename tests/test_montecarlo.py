@@ -347,6 +347,20 @@ def test_empirical_density_matches_naive_sum():
     assert np.allclose(ours, naive, rtol=1e-9, atol=1e-12)
 
 
+def test_empirical_density_of_an_empty_window_is_positive_zero():
+    dens = empirical_density([0.0, 1.0, 2.0], [-9.0, 1.0, 9.0], bandwidth=0.5)
+    assert dens[1] > 0.0
+    assert [(d, math.copysign(1.0, d)) for d in dens[[0, 2]]] == [(0.0, 1.0)] * 2
+
+
+@pytest.mark.parametrize("bandwidth", [1e-320, 5e-324])
+def test_empirical_density_rejects_a_bandwidth_whose_peak_overflows(bandwidth):
+    # the kernel's peak 1 / (3 h sqrt(2 pi)) is inf, and an empty window would read NaN
+    with pytest.raises(ValueError, match="too small for 3 samples"):
+        empirical_density([0.0, 1.0, 2.0], [0.0, 0.5, 5.0], bandwidth=bandwidth)
+    assert np.isfinite(empirical_density([0.0, 1.0, 2.0], [0.5], bandwidth=1e-300)).all()
+
+
 def test_empirical_density_mass():
     rng = np.random.default_rng(10)
     x = rng.standard_normal(2000)

@@ -58,6 +58,26 @@ def test_re_wrapping_helpers_are_callable_but_not_public():
     assert ar1_tstat.covariance_with_mean is moments.covariance_with_mean
 
 
+@pytest.mark.parametrize("module, name", [("tstat", "StatKind"), ("moments", "compare_all")])
+def test_retired_copies_resolve_nowhere(module, name):
+    # the statistic kind is the engine's Functional; moment_grid maps compare_moment itself
+    assert not hasattr(importlib.import_module(f"ar1_tstat.{module}"), name)
+    assert name not in ar1_tstat.__all__
+    with pytest.raises(AttributeError, match=name):
+        getattr(ar1_tstat, name)
+
+
+def test_a_t_statistic_kind_is_a_functional():
+    p = ar1_tstat.Ar1Params(mu=0.0, sigma=1.0, rho=0.5, n=3)
+    classical = ar1_tstat.t_statistic([1.0, 2.0, 4.0])
+    modified = ar1_tstat.modified_t_statistic([1.0, 2.0, 4.0], params=p)
+    assert isinstance(classical.kind, ar1_tstat.Functional)
+    assert (classical.kind, modified.kind) == (
+        ar1_tstat.Functional.T_STAT,
+        ar1_tstat.Functional.MODIFIED_T_STAT,
+    )
+
+
 def test_params_names_load_no_numpy_and_cli_loads_only_params():
     probe = (
         "import sys, ar1_tstat; ar1_tstat.Ar1Params; ar1_tstat.Functional; "

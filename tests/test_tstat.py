@@ -6,7 +6,7 @@ import pytest
 from ar1_tstat import (
     Ar1Params,
     DegenerateSampleError,
-    StatKind,
+    Functional,
     covariance_matrix,
     modified_t_statistic,
     noncentrality,
@@ -29,7 +29,7 @@ def test_t_statistic_hand_computation():
     assert res.value == pytest.approx(2.0 * 2.5 / s, rel=1e-15)
     assert res.sample_mean == 2.5
     assert res.bessel_variance == pytest.approx(np.var(values, ddof=1), rel=1e-15)
-    assert res.kind is StatKind.CLASSICAL
+    assert res.kind is Functional.T_STAT
     assert res.whitened_mean is None
 
 
@@ -271,7 +271,7 @@ def test_modified_equals_classical_on_prewhitened_data():
     manual = t_statistic(whiten(path.values, 0.45))
     auto = modified_t_statistic(path)
     assert auto.value == manual.value
-    assert auto.kind is StatKind.MODIFIED
+    assert auto.kind is Functional.MODIFIED_T_STAT
 
 
 def test_modified_t_statistic_needs_params():
@@ -280,7 +280,7 @@ def test_modified_t_statistic_needs_params():
         modified_t_statistic(x)  # bare array, no params anywhere
     p = Ar1Params(mu=0.0, sigma=1.0, rho=0.2, n=10)
     res = modified_t_statistic(x, params=p)
-    assert res.kind is StatKind.MODIFIED
+    assert res.kind is Functional.MODIFIED_T_STAT
     assert res.whitened_mean == whitened_mean(p)
 
 

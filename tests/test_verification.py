@@ -111,6 +111,27 @@ def test_sigma_propagates():
     assert report.passed
 
 
+def test_moment_grid_covers_every_scalar_quantity():
+    [(p, reports)] = verification.moment_grid([12], [0.7], 1.0)
+    assert p == Ar1Params(mu=0.0, sigma=1.0, rho=0.7, n=12)
+    # one report per quantity, evaluated in the enum's order
+    assert list(reports) == list(MomentQuantity)
+    assert all(report.quantity is q for q, report in reports.items())
+    kinds = {r.quantity for r in reports.values()}
+    assert kinds == {
+        MomentQuantity.SCALED_MEAN_VARIANCE,
+        MomentQuantity.MEAN_COVARIANCE_SQUARE_SUM,
+        MomentQuantity.SAMPLE_VARIANCE_MEAN,
+        MomentQuantity.SAMPLE_VARIANCE_SECOND_MOMENT,
+        MomentQuantity.SAMPLE_VARIANCE_VARIANCE,
+    }
+    flagged = {r.quantity for r in reports.values() if r.discrepant}
+    assert flagged == {
+        MomentQuantity.SAMPLE_VARIANCE_SECOND_MOMENT,
+        MomentQuantity.SAMPLE_VARIANCE_VARIANCE,
+    }
+
+
 def test_moment_routes_look_up_functions_at_call_time(monkeypatch):
     """Swapping a module attribute reaches every route that evaluates it.
 
