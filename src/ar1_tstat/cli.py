@@ -7,8 +7,8 @@ run exits 2. Outputs embed nothing time- or host-dependent, so a rerun with
 the same arguments is byte-identical; the manifest (which carries a timestamp,
 the environment, the wall time of each phase, the peak RSS and the minor page
 faults) is the only file that differs. Exit codes: 0 success, 1 verification
-failure, 2 usage or validation error, or a run that could not finish (failed
-quadrature, broken worker pool, out of memory).
+failure, 2 any error (usage, validation, or a run that could not finish), which
+main prints as one ``error:`` line with no traceback.
 
 The module loads only numpy and the parameter types: each subcommand
 imports the modules it runs inside its handler, timed as the manifest's
@@ -288,23 +288,13 @@ def _reference_cdf(functional: Functional, params: Ar1Params):
     return None, ""
 
 
-def _simulate(
-    args, phases: dict[str, float]
-) -> tuple[SimulationConfig, Functional, np.ndarray]:
-    """Run the functional named by the model and run flags."""
-    from .montecarlo import SimulationConfig, simulate_functional
+def _simulation(args) -> tuple[SimulationConfig, Functional]:
+    """The run and the functional named by the model and run flags."""
+    from .montecarlo import SimulationConfig
 
     params = Ar1Params(mu=args.mu, sigma=args.sigma, rho=args.rho, n=args.n)
-    config = SimulationConfig(
-        params=params,
-        replications=args.reps,
-        seed=args.seed,
-        workers=args.workers,
-    )
-    functional = Functional(args.functional)
-    with _phase(phases, "simulate"):
-        values = simulate_functional(config, functional)
-    return config, functional, values
+    config = SimulationConfig(params, replications=args.reps, seed=args.seed, workers=args.workers)
+    return config, Functional(args.functional)
 
 
 def cmd_simulate(args, phases):
@@ -314,21 +304,19 @@ def cmd_simulate(args, phases):
         raise ValueError(f"--values-out {args.values_out} would overwrite --out or its manifest")
     with _phase(phases, "import"):
         from . import student  # noqa: F401 -- _reference_cdf's Student law
-        from .montecarlo import ks_test, summarize
-    config, functional, values = _simulate(args, phases)
+        from .montecarlo import ks_test, simulate_functional, summarize
+    config, functional = _simulation(args)
     params = config.params
+    # the reference law is resolved before any path is drawn, so it fails first
+    cdf, reference = _reference_cdf(functional, params)
+    with _phase(phases, "simulate"):
+        values = simulate_functional(config, functional)
     with _phase(phases, "summarize"):
         summary = summarize(values)
-    ks_fields = {"ks_statistic": None, "ks_p_value": None, "ks_reference": None}
-    cdf, reference = _reference_cdf(functional, params)
+    ks = None
     if cdf is not None:
         with _phase(phases, "ks"):
             ks = ks_test(values, cdf, reference=reference)
-        ks_fields = {
-            "ks_statistic": ks.statistic,
-            "ks_p_value": ks.p_value,
-            "ks_reference": ks.reference,
-        }
     row = {
         "functional": functional.value,
         "n": params.n,
@@ -343,7 +331,9 @@ def cmd_simulate(args, phases):
         "variance": summary.variance,
         "std_error_mean": summary.std_error_mean,
         "std_error_variance": summary.std_error_variance,
-        **ks_fields,
+        "ks_statistic": getattr(ks, "statistic", None),  # None: no reference law
+        "ks_p_value": getattr(ks, "p_value", None),
+        "ks_reference": getattr(ks, "reference", None),
     }
     outputs = [args.out]
     with _phase(phases, "write"):
@@ -389,8 +379,10 @@ def cmd_density(args, phases):
         if missing:
             raise ValueError(f"simulation mode needs {', '.join(missing)}")
         with _phase(phases, "import"):
-            from .montecarlo import empirical_density
-        config, _, values = _simulate(args, phases)
+            from .montecarlo import empirical_density, simulate_functional
+        config, functional = _simulation(args)
+        with _phase(phases, "simulate"):
+            values = simulate_functional(config, functional)
         with _phase(phases, "kde"):
             kde = empirical_density(values, grid, bandwidth=args.bandwidth)
         rows = [{"t": float(t), "kde": float(d)} for t, d in zip(grid, kde)]
@@ -529,37 +521,23 @@ def main(argv=None) -> int:
     parse_argv = _merge_negative_values(argv)
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config", default=None)
-    known, rest = pre.parse_known_args(parse_argv)
+    phases: dict[str, float] = {}
     try:
+        known, rest = pre.parse_known_args(parse_argv)
         injected = _config_flags(known.config)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    # config flags go right after the subcommand, so explicit flags win; the
-    # ones the subcommand lacks come back unparsed and are dropped
-    parser = build_parser()
-    try:
+        # config flags go right after the subcommand, so explicit flags win;
+        # the ones the subcommand lacks come back unparsed and are dropped
+        parser = build_parser()
         args, leftover = parser.parse_known_args(rest[:1] + injected + rest[1:])
         unknown = [token for token in leftover if token not in injected]
         if unknown:
             parser.error(f"unrecognized arguments: {' '.join(unknown)}")
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    phases: dict[str, float] = {}
-    try:
         code, outputs, config = args.handler(args, phases)
         _write_manifest(args.out, args.command, argv, outputs, phases, config)
         return code
-    except Exception as exc:
-        if not isinstance(exc, (ValueError, TypeError, OSError, MemoryError)):
-            # a run that could not finish; its modules are loaded only on this path
-            from concurrent.futures import BrokenExecutor
-
-            from .student import QuadratureError
-
-            if not isinstance(exc, (QuadratureError, BrokenExecutor)):
-                raise
-        # exit 1 is reserved for a failed verification
+    except SystemExit as exc:  # argparse's: --help, or a usage error it has printed
+        return 0 if exc.code in (0, None) else 2
+    except Exception as exc:  # exit 1 is reserved for a failed verification
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 

@@ -187,18 +187,23 @@ def sample_paths(config: SimulationConfig) -> np.ndarray:
     return paths
 
 
+def _finite(samples) -> tuple[np.ndarray, int]:
+    """A float64 copy of the finite samples and the count of those dropped."""
+    samples = np.asarray(samples, dtype=float)
+    finite = samples[np.isfinite(samples)]  # boolean indexing copies
+    return finite, int(samples.size - finite.size)
+
+
 def summarize(values) -> EmpiricalSummary:
     """Mean/variance of the finite values with large-sample standard errors.
 
     The standard error of the variance uses the fourth central moment:
     Var(sample variance) ~ (m4 - m2^2) / R for i.i.d. replications.
     """
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("no replications to summarize")
-    finite = values[np.isfinite(values)]
-    degenerate = int(values.size - finite.size)
+    finite, degenerate = _finite(values)
     r = finite.size
+    if r + degenerate == 0:
+        raise ValueError("no replications to summarize")
     if r < 2:
         raise ValueError("need at least two usable replications")
     mean = float(np.mean(finite))
@@ -255,8 +260,7 @@ def ks_test(samples, reference_cdf, reference: str = "") -> KsReport:
     -------
     KsReport
     """
-    samples = np.asarray(samples, dtype=float)
-    sorted_values = samples[np.isfinite(samples)]  # a copy, sorted in place
+    sorted_values, _ = _finite(samples)
     sorted_values.sort()
     m = sorted_values.size
     if m == 0:
@@ -290,8 +294,7 @@ def silverman_bandwidth(samples) -> float:
     0.9 min(std, IQR/1.34) m^(-1/5), floored at 1e-6 times the sample
     range. A constant sample has no usable scale and raises.
     """
-    samples = np.asarray(samples, dtype=float)
-    samples = samples[np.isfinite(samples)]
+    samples, _ = _finite(samples)
     if samples.size < 2:
         raise ValueError("bandwidth needs at least two finite samples")
     sample_range = float(samples.max() - samples.min())
@@ -316,11 +319,12 @@ def empirical_density(samples, grid, bandwidth: float | None = None) -> np.ndarr
     grid : array_like
         Evaluation points.
     bandwidth : float, optional
-        Positive kernel width, not so small that the peak density overflows;
+        Positive kernel width, not so small that the peak density overflows
+        nor so large that the normaliser 1 / (m h sqrt(2 pi)) rounds to 0;
         Silverman's rule when omitted.
     """
-    samples = np.asarray(samples, dtype=float)
-    samples = np.sort(samples[np.isfinite(samples)])
+    samples, _ = _finite(samples)
+    samples.sort()
     if samples.size == 0:
         raise ValueError("empirical_density needs finite samples")
     if bandwidth is None:
@@ -329,8 +333,10 @@ def empirical_density(samples, grid, bandwidth: float | None = None) -> np.ndarr
     if not bandwidth > 0.0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
     norm = 1.0 / (samples.size * bandwidth * math.sqrt(2.0 * math.pi))
-    if math.isinf(norm):  # every density would be inf, or NaN (norm * 0.0) in an empty window
-        raise ValueError(f"bandwidth {bandwidth} is too small for {samples.size} samples")
+    # inf would make every density inf (NaN in an empty window), 0 every density 0
+    if not 0.0 < norm < math.inf:
+        size = "small" if norm else "large"
+        raise ValueError(f"bandwidth {bandwidth} is too {size} for {samples.size} samples")
     grid = np.asarray(grid, dtype=float)
     out = np.empty(grid.shape)
     flat = grid.ravel()

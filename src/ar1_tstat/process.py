@@ -78,6 +78,17 @@ def stream_generator(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed).jumped(stream))
 
 
+def _own_or_copy(array, out, name: str) -> np.ndarray:
+    """The buffer contract of the Monte Carlo tile: out=None gives a float64
+    copy of array, out=array (a float64 ndarray) array itself; any other out
+    raises ValueError naming the caller's argument."""
+    if out is None:
+        return np.array(array, dtype=float)
+    if out is array and isinstance(out, np.ndarray) and out.dtype == np.float64:
+        return out
+    raise ValueError(f"out must be None or {name} itself, a float64 array")
+
+
 def paths_from_normals(
     params: Ar1Params, normals: np.ndarray, *, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -103,12 +114,7 @@ def paths_from_normals(
         float64 array, has it run there. The paths are returned in either
         case; any other out raises ValueError.
     """
-    if out is None:
-        x = np.array(normals, dtype=float)
-    elif out is normals and isinstance(out, np.ndarray) and out.dtype == np.float64:
-        x = out
-    else:
-        raise ValueError("out must be None or normals itself, a float64 array")
+    x = _own_or_copy(normals, out, "normals")
     n, mu, sigma, rho = params.n, params.mu, params.sigma, params.rho
     if x.ndim == 0 or x.shape[-1] != n:
         raise ValueError(f"innovations have shape {x.shape}, expected a last axis of {n}")
@@ -158,6 +164,9 @@ def linear_combination_law(params: Ar1Params, weights) -> NormalLaw:
     from .matrices import covariance_matrix  # only this law needs the dense matrix
 
     cov = covariance_matrix(params)
-    variance = params.sigma**2 * float(w @ cov @ w)
+    try:
+        variance = params.sigma**2 * float(w @ cov @ w)
+    except OverflowError:  # sigma**2 past the float range
+        raise ValueError(f"the variance overflows at sigma = {params.sigma!r}") from None
     # roundoff can push an exact zero a hair negative
     return NormalLaw(mean=params.mu * float(w.sum()), variance=max(variance, 0.0))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import Ar1Params, Functional
+from .process import _own_or_copy
 
 __all__ = [
     "TStatResult",
@@ -72,12 +73,7 @@ def whiten(values: np.ndarray, rho: float, *, out: np.ndarray | None = None) -> 
     out=values, a float64 array, values itself; either is returned. Any
     other out, or an empty last axis, raises ValueError.
     """
-    if out is None:
-        x = np.array(values, dtype=float)
-    elif out is values and isinstance(out, np.ndarray) and out.dtype == np.float64:
-        x = out
-    else:
-        raise ValueError("whiten's out must be None or values itself, a float64 array")
+    x = _own_or_copy(values, out, "values")
     if x.ndim == 0 or x.shape[-1] == 0:
         raise ValueError(f"whiten needs a last axis of length >= 1, got shape {x.shape}")
     n = x.shape[-1]

@@ -189,7 +189,7 @@ def run_verification(
     Parameters
     ----------
     n_grid, rho_grid : sequences, optional
-        Default to the full acceptance grid.
+        Default to the full acceptance grid; an empty one raises ValueError.
     sigma : float
         Innovation scale used at every grid point.
     tolerance_override : float, optional
@@ -202,24 +202,22 @@ def run_verification(
     rho_grid = tuple(
         float(r) for r in (rho_grid if rho_grid is not None else DEFAULT_RHO_GRID)
     )
-    worst: dict[str, tuple[float, int, float]] = {
-        name: (-1.0, 0, 0.0) for name in _TOLERANCES
-    }
+    if not (n_grid and rho_grid):
+        raise ValueError("verification needs a non-empty n grid and rho grid")
+    points: list[tuple[int, float]] = []
+    gaps: dict[str, list[float]] = {name: [] for name in _TOLERANCES}  # grid order
     flagged: list[moments.MomentReport] = []
     for params, reports in moment_grid(n_grid, rho_grid, sigma):
-        gaps = _matrix_gaps(params)
-        gaps.update(_scalar_gaps(params, reports))
-        for name, gap in gaps.items():
-            # a NaN gap is the worst gap; the first one found is kept
-            if gap > worst[name][0] or (math.isnan(gap) and not math.isnan(worst[name][0])):
-                worst[name] = (gap, params.n, params.rho)
+        points.append((params.n, params.rho))
+        for name, gap in {**_matrix_gaps(params), **_scalar_gaps(params, reports)}.items():
+            gaps[name].append(gap)
         flagged.extend(reports[q] for q in _FOURTH_MOMENT if reports[q].discrepant)
     checks = []
     for name, tolerance in _TOLERANCES.items():
         if tolerance_override is not None:
             tolerance = tolerance_override
-        gap, n, rho = worst[name]
-        gap = max(gap, 0.0)  # keeps a NaN, which fails the check below
+        worst = int(np.argmax(gaps[name]))  # the first largest gap, or the first NaN
+        gap, (n, rho) = gaps[name][worst], points[worst]
         checks.append(
             IdentityCheck(
                 name=name,
@@ -227,7 +225,7 @@ def run_verification(
                 max_gap=gap,
                 worst_n=n,
                 worst_rho=rho,
-                passed=gap <= tolerance,
+                passed=gap <= tolerance,  # a NaN gap fails
             )
         )
     return VerificationReport(

@@ -59,6 +59,20 @@ def test_parse_grid_rejects_malformed(bad):
         _parse_grid(bad, integer=True)
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("a:1:1", "non-numeric range spec 'a:1:1'"),
+        ("0:1:x", "non-numeric range spec '0:1:x'"),
+        (",", "grid spec ',' produces no values"),
+        (" , ,", "grid spec ', ,' produces no values"),
+    ],
+)
+def test_parse_grid_names_the_fault(spec, message):
+    with pytest.raises(ValueError, match=message):
+        _parse_grid(spec)
+
+
 def test_parse_grid_bounds_range_length():
     # counted before the list is built: 1e15 values would never finish
     assert len(_parse_grid("1:1000000:1")) == cli._MAX_RANGE_VALUES
@@ -478,6 +492,10 @@ def test_simulate_rejects_nonstationary_rho(tmp_path, capsys):
 def test_usage_error_exit_code(tmp_path, capsys):
     assert main(["simulate", "--functional", "bogus"]) == 2
     assert main(["no-such-command"]) == 2
+    out = tmp_path / "v.json"
+    assert main(["verify", "--grid", "small", "--bogus", "1", "--out", str(out)]) == 2
+    assert "unrecognized arguments: --bogus 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _raise(exc):
@@ -532,6 +550,32 @@ def test_memory_error_exit_code(tmp_path, capsys, monkeypatch):
     rc = main(["verify", "--grid", "small", "--out", str(tmp_path / "v.json")])
     assert rc == 2
     _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("boom"), OverflowError("big"), ZeroDivisionError()])
+def test_any_error_exit_code(tmp_path, capsys, monkeypatch, exc):
+    # one failure policy: any error is exit 2 with one line, never a traceback
+    monkeypatch.setattr(verification, "run_verification", _raise(exc))
+    out = tmp_path / "v.json"
+    rc = main(["verify", "--grid", "small", "--out", str(out)])
+    assert rc == 2
+    _assert_one_line_error(capsys)
+    assert not out.exists() and not (tmp_path / "v.json.manifest.json").exists()
+
+
+def test_overflowing_reference_law_exits_2_before_drawing(tmp_path):
+    # sigma**2 overflows the sample-mean law, which is resolved before any
+    # path is drawn: no numpy overflow warning, no traceback, one error line
+    out = tmp_path / "sim.csv"
+    done = _run_module(
+        [
+            "simulate", "--functional", "mean", "--n", "4", "--rho", "0", "--sigma", "1e200",
+            "--reps", "100", "--seed", "1", "--out", str(out),
+        ]
+    )
+    assert done.returncode == 2
+    assert done.stderr == "error: the variance overflows at sigma = 1e+200\n"
+    assert done.stdout == "" and not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -240,6 +240,14 @@ def test_summarize_filters_degenerates():
 def test_summarize_needs_two_values():
     with pytest.raises(ValueError):
         summarize(np.array([np.nan, 1.0]))
+    with pytest.raises(ValueError, match="no replications to summarize"):
+        summarize(np.array([]))
+
+
+@pytest.mark.parametrize("sample", [[], [np.nan, np.inf]])
+def test_ks_test_needs_a_finite_sample(sample):
+    with pytest.raises(ValueError, match="ks_test needs a non-empty sample"):
+        ks_test(np.array(sample), StudentLaw(5.0).cdf)
 
 
 def _traced_peak(func, *args):
@@ -333,6 +341,9 @@ def test_silverman_bandwidth():
     # constant data has no usable scale
     with pytest.raises(ValueError):
         silverman_bandwidth(np.full(50, 3.0))
+    for short in ([1.0], [1.0, np.nan, np.inf], []):
+        with pytest.raises(ValueError, match="at least two finite samples"):
+            silverman_bandwidth(short)
 
 
 def test_empirical_density_matches_naive_sum():
@@ -412,3 +423,23 @@ def test_sample_variance_moments_within_four_se(n, rho):
     q = centering_form(n)
     assert abs(s.mean - form_mean(q, p)) < 4 * s.std_error_mean
     assert abs(s.variance - form_variance(q, p)) < 4 * s.std_error_variance
+
+
+@pytest.mark.parametrize("bandwidth", [math.inf, 1e308])
+def test_empirical_density_rejects_a_bandwidth_whose_normaliser_is_zero(bandwidth):
+    # 1 / (3 h sqrt(2 pi)) rounds to 0 (3 h overflows at 1e308), which made every density 0
+    with pytest.raises(ValueError, match="too large for 3 samples"):
+        empirical_density([0.0, 1.0, 2.0], [0.0, 0.5, 5.0], bandwidth=bandwidth)
+    assert (empirical_density([0.0, 1.0, 2.0], [0.5], bandwidth=1e300) > 0.0).all()
+
+
+@pytest.mark.parametrize("bandwidth", [0.0, -1.0, math.nan, -math.inf])
+def test_empirical_density_rejects_a_non_positive_bandwidth(bandwidth):
+    with pytest.raises(ValueError, match="bandwidth must be positive"):
+        empirical_density([0.0, 1.0, 2.0], [0.5], bandwidth=bandwidth)
+
+
+@pytest.mark.parametrize("sample", [[], [np.nan, -np.inf]])
+def test_empirical_density_needs_finite_samples(sample):
+    with pytest.raises(ValueError, match="empirical_density needs finite samples"):
+        empirical_density(sample, [0.0], bandwidth=1.0)

@@ -221,3 +221,15 @@ def test_cached_profile_is_read_only():
     profile = mean_covariance_profile(Ar1Params(mu=0.0, sigma=1.0, rho=0.3, n=4))
     with pytest.raises(ValueError):
         profile[0] = 0.0
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_centering_form_needs_two_coordinates(n):
+    with pytest.raises(ValueError, match=f"n must be at least 2, got {n}"):
+        centering_form(n)
+
+
+def test_form_of_another_dimension_is_rejected():
+    p = Ar1Params(mu=0.0, sigma=1.0, rho=0.3, n=4)
+    with pytest.raises(ValueError, match="form has dim 3, params have n = 4"):
+        form_mean(centering_form(3), p)

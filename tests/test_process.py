@@ -204,3 +204,34 @@ def test_linear_combination_law_sample_mean_agrees_with_simulation():
     est = means.var(ddof=1)
     se = est * math.sqrt(2.0 / (len(means) - 1))
     assert abs(est - law.variance) < 5 * se
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        (np.ones(4), r"weights must have shape \(5,\), got \(4,\)"),
+        (np.ones((5, 1)), r"weights must have shape \(5,\), got \(5, 1\)"),
+        ([0.2, 0.2, np.nan, 0.2, 0.2], "weights must be finite"),
+        ([0.2, 0.2, np.inf, 0.2, 0.2], "weights must be finite"),
+    ],
+)
+def test_linear_combination_law_rejects_bad_weights(weights, message):
+    p = Ar1Params(mu=0.0, sigma=1.0, rho=0.5, n=5)
+    with pytest.raises(ValueError, match=message):
+        linear_combination_law(p, weights)
+
+
+def test_linear_combination_law_says_when_the_variance_overflows():
+    # sigma**2 leaves the float range; the error says so instead of errno 34
+    p = Ar1Params(mu=0.0, sigma=1e200, rho=0.0, n=4)
+    with pytest.raises(ValueError, match=r"variance overflows at sigma = 1e\+200"):
+        linear_combination_law(p, np.full(4, 0.25))
+    # sigma = 1e150 still squares to a finite value, with the same arithmetic
+    p = Ar1Params(mu=0.0, sigma=1e150, rho=0.0, n=4)
+    assert linear_combination_law(p, np.full(4, 0.25)).variance == 1e150**2 * 0.25
+
+
+def test_sample_path_rejects_a_wrong_shape():
+    p = Ar1Params(mu=0.0, sigma=1.0, rho=0.0, n=4)
+    with pytest.raises(ValueError, match=r"path has shape \(3,\), expected \(4,\)"):
+        SamplePath(np.zeros(3), p, seed=0, stream=0)

@@ -306,3 +306,15 @@ def test_whitened_path_has_unit_innovations():
     ell = whitening_matrix(p)
     transformed = ell @ cov @ ell.T
     assert np.allclose(transformed, 9.0 * np.eye(5), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_t_statistic_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="sample values must be finite"):
+        t_statistic(np.array([1.0, bad, 2.0]))
+
+
+def test_modified_t_statistic_rejects_a_length_other_than_n():
+    p = Ar1Params(mu=0.0, sigma=1.0, rho=0.2, n=10)
+    with pytest.raises(ValueError, match="sample length 9 does not match n = 10"):
+        modified_t_statistic(np.ones(9), params=p)

@@ -34,6 +34,13 @@ def test_non_integer_grid_n_rejected(bad):
         run_verification(n_grid=[bad], rho_grid=[0.5])
 
 
+@pytest.mark.parametrize("n_grid, rho_grid", [([], [0.5]), ([2], []), ((), ())])
+def test_empty_grid_rejected(n_grid, rho_grid):
+    # an empty grid checks nothing: it used to pass with every max_gap 0.0 at n=0
+    with pytest.raises(ValueError, match="non-empty n grid and rho grid"):
+        run_verification(n_grid=n_grid, rho_grid=rho_grid)
+
+
 def test_small_grid_passes(small_report):
     assert isinstance(small_report, VerificationReport)
     assert small_report.passed
@@ -161,7 +168,7 @@ def test_moment_routes_look_up_functions_at_call_time(monkeypatch):
 
 
 def test_nan_gap_is_the_worst_gap(monkeypatch):
-    # NaN > worst is False, so a NaN gap needs its own rule to be recorded
+    # NaN > worst is False, so the worst gap is taken by np.argmax, which finds a NaN
     real = verification._matrix_gaps
 
     def gaps(params):
