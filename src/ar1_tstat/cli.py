@@ -297,6 +297,9 @@ def _simulation(args) -> tuple[SimulationConfig, Functional]:
     return config, Functional(args.functional)
 
 
+_DUMP_BLOCK = 2**16  # values per joined write of the --values-out dump
+
+
 def cmd_simulate(args, phases):
     if args.values_out and os.path.realpath(args.values_out) in {
         os.path.realpath(path) for path in (args.out, f"{args.out}.manifest.json")
@@ -316,7 +319,9 @@ def cmd_simulate(args, phases):
     ks = None
     if cdf is not None:
         with _phase(phases, "ks"):
-            ks = ks_test(values, cdf, reference=reference)
+            # the KS sorts values in place unless the dump still needs their order
+            out = None if args.values_out else values
+            ks = ks_test(values, cdf, reference=reference, out=out)
     row = {
         "functional": functional.value,
         "n": params.n,
@@ -342,9 +347,12 @@ def cmd_simulate(args, phases):
         else:
             _write_csv(args.out, [row])
         if args.values_out:
-            # one joined write; the same bytes as _write_csv's one-column rows
+            # the same bytes as _write_csv's one-column rows, joined a block at a time
             with open(args.values_out, "w", newline="") as handle:
-                handle.write("value\n" + "".join(f"{v:.17g}\n" for v in values.tolist()))
+                handle.write("value\n")
+                for lo in range(0, values.size, _DUMP_BLOCK):
+                    block = values[lo : lo + _DUMP_BLOCK].tolist()
+                    handle.write("".join(f"{v:.17g}\n" for v in block))
             outputs.append(args.values_out)
     return 0, outputs, config
 
@@ -384,7 +392,7 @@ def cmd_density(args, phases):
         with _phase(phases, "simulate"):
             values = simulate_functional(config, functional)
         with _phase(phases, "kde"):
-            kde = empirical_density(values, grid, bandwidth=args.bandwidth)
+            kde = empirical_density(values, grid, bandwidth=args.bandwidth, out=values)
         rows = [{"t": float(t), "kde": float(d)} for t, d in zip(grid, kde)]
     with _phase(phases, "write"):
         _write_csv(args.out, rows)

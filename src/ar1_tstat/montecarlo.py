@@ -19,6 +19,11 @@ the statistic kernel run in place along the long rows axis; the kernel
 sums in numpy's pairwise order, so every value has the bits of a
 row-major tile.
 The sample-mean functional runs only the kernel's mean step.
+
+ks_test and empirical_density take the tile's buffer contract for their
+samples (out=None sorts a finite copy, out=samples sorts the finite values
+in place), and summarize takes each power in place, so the readouts of a
+simulation can work in its values array, every result bit unchanged.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import Ar1Params, Functional, integer, philox_seed
-from .process import paths_from_normals, stream_generator
+from .process import _own_or_copy, paths_from_normals, stream_generator
 from .tstat import row_means, row_statistics, whiten
 
 __all__ = [
@@ -187,11 +192,20 @@ def sample_paths(config: SimulationConfig) -> np.ndarray:
     return paths
 
 
-def _finite(samples) -> tuple[np.ndarray, int]:
-    """A float64 copy of the finite samples and the count of those dropped."""
-    samples = np.asarray(samples, dtype=float)
-    finite = samples[np.isfinite(samples)]  # boolean indexing copies
-    return finite, int(samples.size - finite.size)
+def _finite(samples, out=None) -> tuple[np.ndarray, int]:
+    """The finite samples, in order, and the count of those dropped: a view
+    of the front of a flat float64 copy of samples (out=None) or of samples
+    itself (out=samples, a one-dimensional float64 array), where they are
+    moved."""
+    values = _own_or_copy(samples, out, "samples")
+    if out is not None and values.ndim != 1:
+        raise ValueError(f"out=samples needs a one-dimensional array, got shape {values.shape}")
+    values = values.reshape(-1)  # a view: of the C-ordered copy, or of 1-d samples
+    finite = np.isfinite(values)
+    kept = int(np.count_nonzero(finite))
+    if kept < values.size:
+        values[:kept] = values[finite]  # boolean indexing copies before the write
+    return values[:kept], values.size - kept
 
 
 def summarize(values) -> EmpiricalSummary:
@@ -207,9 +221,14 @@ def summarize(values) -> EmpiricalSummary:
     if r < 2:
         raise ValueError("need at least two usable replications")
     mean = float(np.mean(finite))
-    centered = np.subtract(finite, mean, out=finite)  # finite is a copy
-    m2 = float(np.mean(centered * centered))
-    m4 = float(np.mean(centered**4))
+    # each power is taken in place in its own centred copy: no product temporary
+    finite -= mean
+    m4 = float(np.mean(np.power(finite, 4, out=finite)))
+    del finite  # freed before the second copy is made
+    finite, _ = _finite(values)
+    finite -= mean
+    finite *= finite
+    m2 = float(np.mean(finite))
     variance = m2 * r / (r - 1)
     return EmpiricalSummary(
         mean=mean,
@@ -241,7 +260,9 @@ def _kolmogorov_sf(x: float) -> float:
     return min(max(total, 0.0), 1.0)
 
 
-def ks_test(samples, reference_cdf, reference: str = "") -> KsReport:
+def ks_test(
+    samples, reference_cdf, reference: str = "", *, out: np.ndarray | None = None
+) -> KsReport:
     """Two-sided one-sample Kolmogorov-Smirnov test.
 
     Parameters
@@ -255,12 +276,17 @@ def ks_test(samples, reference_cdf, reference: str = "") -> KsReport:
         raises ValueError.
     reference : str
         Label stored in the report; defaults to the callable's name.
+    out : numpy.ndarray, optional
+        None sorts a float64 copy of the finite samples; samples itself, a
+        one-dimensional float64 array, has them sorted in place at its
+        front (the rest is unspecified). Either gives the same report; any
+        other out raises ValueError.
 
     Returns
     -------
     KsReport
     """
-    sorted_values, _ = _finite(samples)
+    sorted_values, _ = _finite(samples, out)
     sorted_values.sort()
     m = sorted_values.size
     if m == 0:
@@ -294,7 +320,11 @@ def silverman_bandwidth(samples) -> float:
     0.9 min(std, IQR/1.34) m^(-1/5), floored at 1e-6 times the sample
     range. A constant sample has no usable scale and raises.
     """
-    samples, _ = _finite(samples)
+    return _silverman(_finite(samples)[0])
+
+
+def _silverman(samples: np.ndarray) -> float:
+    # silverman_bandwidth of finite samples, read where they are
     if samples.size < 2:
         raise ValueError("bandwidth needs at least two finite samples")
     sample_range = float(samples.max() - samples.min())
@@ -307,7 +337,9 @@ def silverman_bandwidth(samples) -> float:
     return max(bandwidth, 1e-6 * sample_range)
 
 
-def empirical_density(samples, grid, bandwidth: float | None = None) -> np.ndarray:
+def empirical_density(
+    samples, grid, bandwidth: float | None = None, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """Gaussian-kernel density estimate of the samples on the grid.
 
     Kernels farther than eight bandwidths from a grid point are skipped;
@@ -321,14 +353,17 @@ def empirical_density(samples, grid, bandwidth: float | None = None) -> np.ndarr
     bandwidth : float, optional
         Positive kernel width, not so small that the peak density overflows
         nor so large that the normaliser 1 / (m h sqrt(2 pi)) rounds to 0;
-        Silverman's rule when omitted.
+        Silverman's rule, on the sorted finite samples, when omitted.
+    out : numpy.ndarray, optional
+        None or samples itself: where the finite samples are sorted, as in
+        ks_test.
     """
-    samples, _ = _finite(samples)
+    samples, _ = _finite(samples, out)
     samples.sort()
     if samples.size == 0:
         raise ValueError("empirical_density needs finite samples")
     if bandwidth is None:
-        bandwidth = silverman_bandwidth(samples)
+        bandwidth = _silverman(samples)
     bandwidth = float(bandwidth)
     if not bandwidth > 0.0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
@@ -338,9 +373,9 @@ def empirical_density(samples, grid, bandwidth: float | None = None) -> np.ndarr
         size = "small" if norm else "large"
         raise ValueError(f"bandwidth {bandwidth} is too {size} for {samples.size} samples")
     grid = np.asarray(grid, dtype=float)
-    out = np.empty(grid.shape)
+    density = np.empty(grid.shape)
     flat = grid.ravel()
-    flat_out = out.reshape(-1)
+    flat_density = density.reshape(-1)
     los = np.searchsorted(samples, flat - 8.0 * bandwidth)
     his = np.searchsorted(samples, flat + 8.0 * bandwidth)
     # z and the kernel values of every window are formed in these two buffers
@@ -352,5 +387,5 @@ def empirical_density(samples, grid, bandwidth: float | None = None) -> np.ndarr
         kernel = np.multiply(z, -0.5, out=kernel_buffer[: hi - lo])
         kernel *= z
         np.exp(kernel, out=kernel)
-        flat_out[i] = norm * float(kernel.sum())
-    return out
+        flat_density[i] = norm * float(kernel.sum())
+    return density

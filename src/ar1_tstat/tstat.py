@@ -165,7 +165,8 @@ def row_statistics(rows: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray,
     pairwise order (_row_sums), so a time-major tile gives the bits of its
     C-ordered copy. Two passes, mean first and then the centered sum of
     squares: the one-pass update loses digits once mean^2 dominates the
-    variance. The t-value sqrt(n) (mean - mu) / s is NaN where s is 0.
+    variance. The t-value sqrt(n) (mean - mu) / s is NaN where s is 0, or
+    where the squared deviations overflow and s is inf.
     The squared deviations are formed in rows, a float64 array, which is
     overwritten; a caller that needs its rows passes a copy.
     """
@@ -176,7 +177,7 @@ def row_statistics(rows: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray,
     bessel = _row_sums(centered) / (n - 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         values = math.sqrt(n) * (means - mu) / np.sqrt(bessel)
-    values[bessel == 0.0] = np.nan
+    values[(bessel == 0.0) | (bessel == np.inf)] = np.nan  # an overflowed variance is no scale
     return means, bessel, values
 
 

@@ -156,10 +156,14 @@ def _scalar_gaps(params: Ar1Params, reports: dict) -> dict[str, float]:
     ]
     per_j = max(_rel_gap(c, float(o)) for c, o in zip(closed_profile, profile))
     # the covariances with the mean sum to n Var(sample mean), whose closed form is form_a
+    try:
+        total = math.fsum(closed_profile)
+    except (ValueError, OverflowError):  # inf - inf, or a sum past the float range
+        total = math.nan  # an overflowed profile has no sum, and its gap fails as NaN
     return {
         "scaled_mean_variance_forms_agree": _rel_gap(form_a, form_b),
         "mean_covariance_matches_oracle": per_j,
-        "mean_covariance_sum_is_total": _rel_gap(math.fsum(closed_profile), form_a),
+        "mean_covariance_sum_is_total": _rel_gap(total, form_a),
         **{name: reports[q].rel_gap for name, q in _ORACLE_CHECKS.items()},
     }
 

@@ -183,17 +183,20 @@ def _reject_non_json_constant(name):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_verify_nan_gap_fails(tmp_path, capsys):
-    # overflowing moments give NaN gaps; each must fail its check, not pass at 0
+    # overflowing moments give NaN gaps; each must fail its check, not pass at 0;
+    # on the small grid the covariances with the mean overflow to inf and -inf,
+    # which have no sum, so that check's gap is NaN too
     out = tmp_path / "verify.json"
-    rc = main(
-        ["verify", "--grid-n", "2,5", "--grid-rho", "0.5", "--sigma", "1e200", "--out", str(out)]
-    )
-    assert rc == 1
-    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
-    assert failed and all("max gap nan" in line for line in failed)
-    report = json.loads(out.read_text(), parse_constant=_reject_non_json_constant)
-    assert report["passed"] is False
-    assert {check["max_gap"] for check in report["checks"] if not check["passed"]} == {"nan"}
+    for grid in (["--grid-n", "2,5", "--grid-rho", "0.5"], ["--grid", "small"]):
+        rc = main(["verify", *grid, "--sigma", "1e200", "--out", str(out)])
+        assert rc == 1
+        stdout = capsys.readouterr().out
+        failed = [line for line in stdout.splitlines() if line.startswith("FAIL")]
+        assert failed and all("max gap nan" in line for line in failed)
+        assert "FAIL mean_covariance_sum_is_total" in stdout
+        report = json.loads(out.read_text(), parse_constant=_reject_non_json_constant)
+        assert report["passed"] is False
+        assert {check["max_gap"] for check in report["checks"] if not check["passed"]} == {"nan"}
 
 
 def test_verify_tolerance_override_fails(tmp_path, capsys):
@@ -306,6 +309,50 @@ def test_simulate_values_dump(tmp_path):
     assert math.isfinite(floats[0])
     manifest = json.loads((tmp_path / "sim.csv.manifest.json").read_text())
     assert manifest["outputs"] == [str(out), str(vals)]
+
+
+def _traced_main(argv) -> tuple[int, int]:
+    # the exit code and traced peak of a second run: the first loads what a
+    # process loads once, about 1.3 arrays at 2e5 replications
+    main(argv)
+    tracemalloc.start()
+    try:
+        rc = main(argv)
+        return rc, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_values_dump_memory(tmp_path):
+    # the dump is joined a block of 2**16 values at a time; one string of
+    # every line (and a list of every value) peaked at 14.6 sample arrays
+    reps = 200_000
+    out, vals = tmp_path / "sim.csv", tmp_path / "vals.csv"
+    rc, peak = _traced_main(
+        [
+            "simulate", "--functional", "tstat", "--n", "10", "--rho", "0.8", "--reps", str(reps),
+            "--seed", "314", "--out", str(out), "--values-out", str(vals),
+        ]
+    )
+    assert rc == 0
+    assert peak < 7 * 8 * reps
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("functional", ["tstat", "mtstat"])
+def test_overflowing_squared_deviations_fail_visibly(tmp_path, capsys, functional):
+    # the Bessel variance of every path is inf at sigma 1e200; a t-value of 0
+    # printed a zero summary with exit 0, and a NaN fails the run as at 1e-200
+    out = tmp_path / "sim.csv"
+    rc = main(
+        [
+            "simulate", "--functional", functional, "--n", "5", "--rho", "0.5",
+            "--sigma", "1e200", "--reps", "1000", "--seed", "1", "--out", str(out),
+        ]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == "error: need at least two usable replications\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -816,6 +863,20 @@ def test_density_simulation_mode(tmp_path):
     dens = np.array([float(r["kde"]) for r in rows])
     assert np.all(dens >= 0.0)
     assert dens[6] == dens.max()  # peak near zero
+
+
+def test_density_simulation_mode_memory(tmp_path):
+    # the KDE sorts the simulated values in place and computes Silverman's
+    # bandwidth on them: a sorted copy and a second finite copy made 4.0 arrays
+    reps = 200_000
+    rc, peak = _traced_main(
+        [
+            "density", "--functional", "tstat", "--n", "10", "--rho", "0.8", "--reps", str(reps),
+            "--seed", "314", "--grid-t=-6:6:0.1", "--out", str(tmp_path / "kde.csv"),
+        ]
+    )
+    assert rc == 0
+    assert peak < 2.5 * 8 * reps
 
 
 def test_density_modes_are_exclusive(tmp_path, capsys):

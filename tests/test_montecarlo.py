@@ -10,6 +10,7 @@ from ar1_tstat import (
     Ar1Params,
     EmpiricalSummary,
     Functional,
+    KsReport,
     SimulationConfig,
     StudentLaw,
     empirical_density,
@@ -260,11 +261,12 @@ def _traced_peak(func, *args):
 
 
 def test_summarize_memory_at_a_million_values():
-    # the finite copy is centered in place, so it and one product of it are
-    # alive at a time; centering into a new array made it three arrays
+    # each power is taken in place in its own centred finite copy, and the
+    # first copy is freed before the second is made: one copy and its finite
+    # mask are alive at a time; a product temporary beside the copy made 2.0
     values = np.random.default_rng(314).standard_t(9.0, 1_000_000)
     before = values.copy()
-    assert _traced_peak(summarize, values) < 2.25 * values.nbytes
+    assert _traced_peak(summarize, values) < 1.25 * values.nbytes
     assert np.array_equal(values, before)
 
 
@@ -273,6 +275,82 @@ def test_ks_test_memory_with_the_student_cdf():
     # and then one rank-gap array: 4.95 arrays when the cdf held four
     sample = np.round(np.random.default_rng(314).standard_t(2.0, 1_000_000), 6)
     assert _traced_peak(ks_test, sample, StudentLaw(9.0).cdf) < 3.75 * sample.nbytes
+
+
+def test_ks_test_memory_in_place():
+    # out=sample sorts the caller's array: the cdf's two buffers and one
+    # rank-gap array remain, one array less than with the sorted copy
+    sample = np.round(np.random.default_rng(314).standard_t(2.0, 1_000_000), 6)
+    peak = _traced_peak(lambda: ks_test(sample, StudentLaw(9.0).cdf, out=sample))
+    assert peak < 2.75 * sample.nbytes
+
+
+def test_empirical_density_memory_in_place():
+    # out=sample sorts the caller's array and Silverman's rule reads it as it
+    # is, so one temporary of np.std or np.percentile is the largest array;
+    # a sorted copy and a second finite copy for the bandwidth made 3.0
+    sample = np.random.default_rng(314).standard_t(9.0, 1_000_000)
+    grid = np.arange(-60, 61) / 10.0
+    peak = _traced_peak(lambda: empirical_density(sample, grid, out=sample))
+    assert peak < 1.25 * sample.nbytes
+
+
+def _awkward_sample() -> np.ndarray:
+    # ties, both zeros and every non-finite value, scattered through the sample
+    rng = np.random.default_rng(11)
+    sample = np.round(rng.standard_t(4.0, 3000), 1)
+    specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, -0.0, np.nan, 0.0, -np.inf]
+    sample[rng.choice(sample.size, len(specials), replace=False)] = specials
+    return sample
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize(
+    "readout",
+    [
+        lambda sample, **out: ks_test(sample, StudentLaw(5.0).cdf, **out),
+        lambda sample, **out: empirical_density(sample, [-1.0, -0.0, 0.0, 0.05, 2.5], **out),
+        lambda sample, **out: empirical_density(sample, [-1.0, 0.0, 3.0], bandwidth=0.3, **out),
+    ],
+    ids=["ks_test", "empirical_density", "empirical_density-bandwidth"],
+)
+def test_readouts_in_place_match_a_copy(readout):
+    sample = _awkward_sample()
+    finite = sample[np.isfinite(sample)]
+    by_copy = readout(sample.copy())
+    in_place = readout(sample, out=sample)
+    if isinstance(by_copy, KsReport):
+        assert by_copy.sample_size == in_place.sample_size == finite.size
+        by_copy, in_place = ((r.statistic, r.p_value) for r in (by_copy, in_place))
+    assert _bits(in_place) == _bits(by_copy)
+    # the caller's array now starts with its finite values, sorted
+    assert np.array_equal(sample[: finite.size], np.sort(finite))
+
+
+@pytest.mark.parametrize(
+    "readout",
+    [
+        lambda sample, out: ks_test(sample, StudentLaw(5.0).cdf, out=out),
+        lambda sample, out: empirical_density(sample, [0.0], out=out),
+    ],
+    ids=["ks_test", "empirical_density"],
+)
+def test_readouts_accept_only_their_samples_as_out(readout):
+    sample = np.random.default_rng(12).standard_normal(50)
+    before = sample.copy()
+    for out in (sample.copy(), sample[:], sample.astype(np.float32), list(sample), 0.0):
+        with pytest.raises(ValueError, match="samples"):
+            readout(sample, out)
+    as_list = list(sample)
+    with pytest.raises(ValueError, match="samples"):
+        readout(as_list, as_list)
+    grid_of_samples = sample.reshape(5, 10)
+    with pytest.raises(ValueError, match="samples"):
+        readout(grid_of_samples, grid_of_samples)
+    assert np.array_equal(sample, before)
 
 
 def test_kolmogorov_sf_against_scipy():
