@@ -8,7 +8,8 @@ the same arguments is byte-identical; the manifest (which carries a timestamp,
 the environment, the wall time of each phase, the peak RSS and the minor page
 faults) is the only file that differs. Exit codes: 0 success, 1 verification
 failure, 2 any error (usage, validation, or a run that could not finish), which
-main prints as one ``error:`` line with no traceback.
+main prints as one ``error:`` line with no traceback. numpy's floating-point
+warnings are off while a handler runs, so they never reach stderr.
 
 The module loads only numpy and the parameter types: each subcommand
 imports the modules it runs inside its handler, timed as the manifest's
@@ -207,8 +208,7 @@ def cmd_table_moments(args, phases):
     rho_grid = _parse_grid(args.grid_rho)
     sigma = float(args.sigma)
     with _phase(phases, "import"):
-        from .moments import MomentQuantity
-        from .verification import moment_grid
+        from .moments import MomentQuantity, moment_grid
     quantities = {
         "var_num": MomentQuantity.SCALED_MEAN_VARIANCE,
         "e_s2": MomentQuantity.SAMPLE_VARIANCE_MEAN,
@@ -267,13 +267,14 @@ def cmd_verify(args, phases):
 
 def _reference_cdf(functional: Functional, params: Ar1Params):
     """Exact reference law for the functional, or None if there is none."""
-    from .process import linear_combination_law
-    from .student import StudentLaw
-
     if functional in (Functional.T_STAT, Functional.MODIFIED_T_STAT):
+        from .student import StudentLaw  # the t laws only: mean and s2 never load it
+
         law = StudentLaw(params.n - 1)
         return law.cdf, f"student-t({params.n - 1})"
     if functional is Functional.SAMPLE_MEAN:
+        from .process import linear_combination_law
+
         law = linear_combination_law(params, np.full(params.n, 1.0 / params.n))
         def normal_cdf(x):
             z = (np.asarray(x, dtype=float) - law.mean) / (law.std * math.sqrt(2.0))
@@ -290,6 +291,9 @@ def _reference_cdf(functional: Functional, params: Ar1Params):
 
 def _simulation(args) -> tuple[SimulationConfig, Functional]:
     """The run and the functional named by the model and run flags."""
+    missing = [f"--{flag}" for flag in ("n", "rho", "reps", "seed") if getattr(args, flag) is None]
+    if missing:
+        raise ValueError(f"a simulation needs {', '.join(missing)}")
     from .montecarlo import SimulationConfig
 
     params = Ar1Params(mu=args.mu, sigma=args.sigma, rho=args.rho, n=args.n)
@@ -306,22 +310,29 @@ def cmd_simulate(args, phases):
     }:
         raise ValueError(f"--values-out {args.values_out} would overwrite --out or its manifest")
     with _phase(phases, "import"):
-        from . import student  # noqa: F401 -- _reference_cdf's Student law
         from .montecarlo import ks_test, simulate_functional, summarize
-    config, functional = _simulation(args)
-    params = config.params
-    # the reference law is resolved before any path is drawn, so it fails first
-    cdf, reference = _reference_cdf(functional, params)
+        config, functional = _simulation(args)
+        params = config.params
+        # the reference law is resolved before any path is drawn, so it fails first
+        cdf, reference = _reference_cdf(functional, params)
     with _phase(phases, "simulate"):
         values = simulate_functional(config, functional)
     with _phase(phases, "summarize"):
         summary = summarize(values)
+    outputs = [args.out]
+    if args.values_out:
+        # dumped in draw order before the KS sorts values in place
+        with _phase(phases, "write"), open(args.values_out, "w", newline="") as handle:
+            # the same bytes as _write_csv's one-column rows, joined a block at a time
+            handle.write("value\n")
+            for lo in range(0, values.size, _DUMP_BLOCK):
+                block = values[lo : lo + _DUMP_BLOCK].tolist()
+                handle.write("".join(f"{v:.17g}\n" for v in block))
+        outputs.append(args.values_out)
     ks = None
     if cdf is not None:
         with _phase(phases, "ks"):
-            # the KS sorts values in place unless the dump still needs their order
-            out = None if args.values_out else values
-            ks = ks_test(values, cdf, reference=reference, out=out)
+            ks = ks_test(values, cdf, reference=reference, out=values)
     row = {
         "functional": functional.value,
         "n": params.n,
@@ -340,20 +351,11 @@ def cmd_simulate(args, phases):
         "ks_p_value": getattr(ks, "p_value", None),
         "ks_reference": getattr(ks, "reference", None),
     }
-    outputs = [args.out]
     with _phase(phases, "write"):
         if args.format == "json":
             _write_json(args.out, row)
         else:
             _write_csv(args.out, [row])
-        if args.values_out:
-            # the same bytes as _write_csv's one-column rows, joined a block at a time
-            with open(args.values_out, "w", newline="") as handle:
-                handle.write("value\n")
-                for lo in range(0, values.size, _DUMP_BLOCK):
-                    block = values[lo : lo + _DUMP_BLOCK].tolist()
-                    handle.write("".join(f"{v:.17g}\n" for v in block))
-            outputs.append(args.values_out)
     return 0, outputs, config
 
 
@@ -374,18 +376,6 @@ def cmd_density(args, phases):
             for t, c, i in zip(grid, closed, integral)
         ]
     else:
-        missing = [
-            flag
-            for flag, value in (
-                ("--n", args.n),
-                ("--rho", args.rho),
-                ("--reps", args.reps),
-                ("--seed", args.seed),
-            )
-            if value is None
-        ]
-        if missing:
-            raise ValueError(f"simulation mode needs {', '.join(missing)}")
         with _phase(phases, "import"):
             from .montecarlo import empirical_density, simulate_functional
         config, functional = _simulation(args)
@@ -402,16 +392,16 @@ def cmd_density(args, phases):
 # -- parser wiring ------------------------------------------------------------
 
 
-def _add_model_flags(parser: argparse.ArgumentParser, required: bool) -> None:
-    parser.add_argument("--n", type=int, required=required, help="sample length (>= 2)")
-    parser.add_argument("--rho", type=float, required=required, help="lag-1 autocorrelation")
+def _add_model_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--n", type=int, help="sample length (>= 2)")
+    parser.add_argument("--rho", type=float, help="lag-1 autocorrelation")
     parser.add_argument("--mu", type=float, default=0.0, help="process mean")
     parser.add_argument("--sigma", type=float, default=1.0, help="innovation scale")
 
 
-def _add_run_flags(parser: argparse.ArgumentParser, required: bool) -> None:
-    parser.add_argument("--reps", type=int, required=required, help="number of replications")
-    parser.add_argument("--seed", type=int, required=required, help="64-bit stream seed")
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--reps", type=int, help="number of replications")
+    parser.add_argument("--seed", type=int, help="64-bit stream seed")
     parser.add_argument(
         "--workers",
         type=int,
@@ -455,8 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = subparsers.add_parser(
         "simulate", help="replicate a functional and summarize it"
     )
-    _add_model_flags(simulate, required=True)
-    _add_run_flags(simulate, required=True)
+    _add_model_flags(simulate)
+    _add_run_flags(simulate)
     simulate.add_argument(
         "--functional",
         required=True,
@@ -480,8 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[f.value for f in Functional],
         help="simulation mode: statistic to estimate",
     )
-    _add_model_flags(density, required=False)
-    _add_run_flags(density, required=False)
+    _add_model_flags(density)
+    _add_run_flags(density)
     density.add_argument("--bandwidth", type=float, default=None)
     density.add_argument("--grid-t", required=True, help="evaluation grid for t")
     density.add_argument("--out", required=True, help="CSV output path")
@@ -540,7 +530,9 @@ def main(argv=None) -> int:
         unknown = [token for token in leftover if token not in injected]
         if unknown:
             parser.error(f"unrecognized arguments: {' '.join(unknown)}")
-        code, outputs, config = args.handler(args, phases)
+        # every value numpy would warn of prints as nan/inf or ends in an exit code
+        with np.errstate(all="ignore"):
+            code, outputs, config = args.handler(args, phases)
         _write_manifest(args.out, args.command, argv, outputs, phases, config)
         return code
     except SystemExit as exc:  # argparse's: --help, or a usage error it has printed

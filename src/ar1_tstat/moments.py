@@ -5,8 +5,8 @@ t-statistic's numerator or denominator. The matrix-trace routines in
 ``oracle`` reach the same quantities by an independent route; the
 ``compare_moment`` helper reports both values side by side for each of
 the five scalar quantities of ``MomentQuantity`` and flags relative gaps
-above DISCREPANCY_RTOL. The per-coordinate covariances and their total
-are checked by ``verification`` instead.
+above DISCREPANCY_RTOL; ``moment_grid`` runs it over an (n, rho) grid. The
+per-coordinate covariances and their total are checked by ``verification``.
 
 Status of the expressions, established against the trace oracle over the
 full (n, rho) grid:
@@ -51,6 +51,7 @@ __all__ = [
     "second_moment_of_sample_variance",
     "variance_of_sample_variance",
     "compare_moment",
+    "moment_grid",
 ]
 
 # A closed form whose relative gap to the trace oracle exceeds this is
@@ -295,3 +296,17 @@ def compare_moment(quantity: MomentQuantity, params: Ar1Params) -> MomentReport:
         rel_gap=rel_gap,
         discrepant=not rel_gap <= DISCREPANCY_RTOL,
     )
+
+
+def moment_grid(n_grid, rho_grid, sigma: float):
+    """Closed form against oracle at every (n, rho) point, n-major.
+
+    The one grid evaluator behind ``table-moments`` and
+    ``verification.run_verification``. Yields ``(params, {quantity:
+    MomentReport})`` with mu = 0: ``compare_moment`` of every
+    ``MomentQuantity``, in the enum's order, looked up at call time.
+    """
+    for n in n_grid:
+        for rho in rho_grid:
+            params = Ar1Params(mu=0.0, sigma=sigma, rho=rho, n=n)
+            yield params, {q: compare_moment(q, params) for q in MomentQuantity}

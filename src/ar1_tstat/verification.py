@@ -5,7 +5,8 @@ the two printed scaled-mean forms, closed forms against the trace oracle
 at second order) and make the report fail when violated. The fourth-moment
 closed forms are handled separately: their disagreement with the oracle is
 an established property of the expressions, so flagged gaps are collected
-into a non-fatal discrepancy section instead.
+into a non-fatal discrepancy section instead. The closed-form-vs-oracle
+reports come from ``moments.moment_grid``, which ``table-moments`` runs too.
 
 The matrix identities are dense BLAS products, whose last bits follow the
 thread count; the CLI runs one thread at every n (see ``__main__``).
@@ -26,7 +27,7 @@ from .matrices import (
     precision_matrix,
     whitening_matrix,
 )
-from .moments import MomentQuantity
+from .moments import MomentQuantity, moment_grid
 from .params import Ar1Params, integer
 
 __all__ = [
@@ -36,7 +37,6 @@ __all__ = [
     "SMALL_RHO_GRID",
     "IdentityCheck",
     "VerificationReport",
-    "moment_grid",
     "run_verification",
 ]
 
@@ -166,20 +166,6 @@ def _scalar_gaps(params: Ar1Params, reports: dict) -> dict[str, float]:
         "mean_covariance_sum_is_total": _rel_gap(total, form_a),
         **{name: reports[q].rel_gap for name, q in _ORACLE_CHECKS.items()},
     }
-
-
-def moment_grid(n_grid, rho_grid, sigma: float):
-    """Closed form against oracle at every (n, rho) point, n-major.
-
-    The one grid evaluator behind ``table-moments`` and
-    ``run_verification``. Yields ``(params, {quantity: MomentReport})``
-    with mu = 0: ``moments.compare_moment`` of every ``MomentQuantity``,
-    in the enum's order.
-    """
-    for n in n_grid:
-        for rho in rho_grid:
-            params = Ar1Params(mu=0.0, sigma=sigma, rho=rho, n=n)
-            yield params, {q: moments.compare_moment(q, params) for q in MomentQuantity}
 
 
 def run_verification(

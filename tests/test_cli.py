@@ -126,7 +126,6 @@ def test_table_moments_layout(tmp_path):
     assert manifest["outputs"] == [str(out)]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_table_moments_flags_nan_gap(tmp_path):
     # at sigma = 1e200 the moments overflow (the closed fourth moments to
     # -inf, the oracle to inf), so gaps are NaN, and max(0.0, nan) is 0.0
@@ -181,7 +180,6 @@ def _reject_non_json_constant(name):
     raise AssertionError(f"{name} is not strict JSON")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_verify_nan_gap_fails(tmp_path, capsys):
     # overflowing moments give NaN gaps; each must fail its check, not pass at 0;
     # on the small grid the covariances with the mean overflow to inf and -inf,
@@ -338,7 +336,35 @@ def test_simulate_values_dump_memory(tmp_path):
     assert peak < 7 * 8 * reps
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_simulate_values_dump_memory_at_a_million(tmp_path):
+    # the dump is written in draw order before the KS sorts the values in
+    # place; a KS on a copy, kept while the dump needed the order, peaked at
+    # 4.5 sample arrays
+    reps = 1_000_000
+    out, vals = tmp_path / "sim.csv", tmp_path / "vals.csv"
+    rc, peak = _traced_main(
+        [
+            "simulate", "--functional", "tstat", "--n", "10", "--rho", "0.8", "--reps", str(reps),
+            "--seed", "314", "--out", str(out), "--values-out", str(vals),
+        ]
+    )
+    assert rc == 0
+    assert peak < 4.0 * 8 * reps
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_summary_does_not_depend_on_the_dump(tmp_path, workers):
+    argv = [
+        "simulate", "--functional", "tstat", "--n", "6", "--rho", "0.7",
+        "--reps", str(2 * BLOCK_SIZE), "--seed", "11", "--workers", workers,
+    ]
+    plain, dumped = tmp_path / "plain.csv", tmp_path / "dumped.csv"
+    assert main([*argv, "--out", str(plain)]) == 0
+    assert main([*argv, "--out", str(dumped), "--values-out", str(tmp_path / "vals.csv")]) == 0
+    assert plain.read_bytes() == dumped.read_bytes()
+    assert len((tmp_path / "vals.csv").read_text().splitlines()) == 2 * BLOCK_SIZE + 1
+
+
 @pytest.mark.parametrize("functional", ["tstat", "mtstat"])
 def test_overflowing_squared_deviations_fail_visibly(tmp_path, capsys, functional):
     # the Bessel variance of every path is inf at sigma 1e200; a t-value of 0
@@ -625,6 +651,57 @@ def test_overflowing_reference_law_exits_2_before_drawing(tmp_path):
     assert done.stdout == "" and not out.exists()
 
 
+_OVERFLOW = ["--n", "5", "--rho", "0.5", "--reps", "1000", "--seed", "1"]
+_TOO_FEW = "error: need at least two usable replications\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["simulate", "--functional", "tstat", *_OVERFLOW, "--sigma", "1e200"], 2, _TOO_FEW),
+        (["simulate", "--functional", "s2", *_OVERFLOW, "--sigma", "1e200"], 2, _TOO_FEW),
+        (
+            # two blocks in two forked workers, which inherit main's rule
+            [
+                "simulate", "--functional", "tstat", "--n", "5", "--rho", "0.5",
+                "--sigma", "1e200", "--reps", str(2 * BLOCK_SIZE), "--seed", "1",
+                "--workers", "2",
+            ],
+            2,
+            _TOO_FEW,
+        ),
+        (["simulate", "--functional", "s2", *_OVERFLOW, "--sigma", "1e100"], 0, ""),
+        (["density", "--functional", "s2", *_OVERFLOW, "--sigma", "1e150", "--grid-t", "0,1"], 0, ""),
+        (["verify", "--grid", "small", "--sigma", "1e200"], 1, ""),
+        (["table-moments", "--grid-n", "2,5", "--grid-rho", "0.5", "--sigma", "1e200"], 0, ""),
+    ],
+    ids=[
+        "simulate-tstat", "simulate-s2", "simulate-pool", "simulate-s2-exit-0", "density-kde",
+        "verify", "table-moments",
+    ],
+)
+def test_numpy_warnings_never_reach_stderr(tmp_path, argv, code, err):
+    # overflowing values print as nan or inf, or end the run with exit 2
+    done = _run_module([*argv, "--out", str(tmp_path / "out")])
+    assert done.returncode == code
+    assert done.stderr == err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--functional", "tstat"],
+        ["density", "--functional", "tstat", "--grid-t", "0,1"],
+    ],
+    ids=["simulate", "density"],
+)
+def test_a_simulation_names_every_missing_flag(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--n", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: a simulation needs --rho, --reps, --seed\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -747,9 +824,10 @@ _SMALL_SIMULATION = ["--n", "5", "--rho", "0.3", "--reps", "500", "--seed", "3"]
     [
         (None, (), _GRID_MODULES + _SIMULATION_MODULES),
         (
+            # the grid evaluator lives next to the comparison it iterates
             ["table-moments", "--grid-n", "2,5", "--grid-rho", "0.5"],
-            _GRID_MODULES,
-            _SIMULATION_MODULES,
+            ("moments", "oracle"),
+            ("verification", "matrices", *_SIMULATION_MODULES),
         ),
         (["verify", "--grid-n", "2,5", "--grid-rho", "0.5"], _GRID_MODULES, _SIMULATION_MODULES),
         (
@@ -770,13 +848,19 @@ _SMALL_SIMULATION = ["--n", "5", "--rho", "0.3", "--reps", "500", "--seed", "3"]
         (
             # the sample mean's reference law is the one use of the dense matrix
             ["simulate", "--functional", "mean", *_SMALL_SIMULATION],
-            (*_SIMULATION_MODULES, "matrices"),
-            ("moments", "verification", "oracle"),
+            ("montecarlo", "process", "tstat", "matrices"),
+            ("student", "moments", "verification", "oracle"),
+        ),
+        (
+            # no reference law: neither the Student law nor the dense matrix
+            ["simulate", "--functional", "s2", *_SMALL_SIMULATION],
+            ("montecarlo", "process", "tstat"),
+            ("student", "matrices", "moments", "verification", "oracle"),
         ),
     ],
     ids=[
         "import-cli", "table-moments", "verify", "density-law", "density-kde", "simulate",
-        "simulate-mean",
+        "simulate-mean", "simulate-s2",
     ],
 )
 def test_each_command_loads_only_its_modules(tmp_path, argv, loaded, absent):
