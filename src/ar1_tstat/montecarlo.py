@@ -5,8 +5,9 @@ drawn from the Philox stream with jump index b, whatever the worker count,
 so the full value array is a pure function of (params, seed, replications,
 functional): workers change wall time only, never bits. Row r of block b
 is replication b * BLOCK_SIZE + r, and simulate_path(params, seed,
-stream=b) reproduces row 0 of block b exactly, which makes any single
-replication auditable in isolation.
+stream=b) reproduces the path of row 0 of block b exactly, which makes any
+single replication auditable in isolation (the README states which
+single-path call gives each functional's value).
 
 Each block is streamed through row tiles of about TILE_NORMALS normals.
 A worker holds one tile buffer, the time-major (n, rows) lanes, and a draw
@@ -18,7 +19,15 @@ as one draw of the block. Each stage slice is copied into the lanes'
 the statistic kernel run in place along the long rows axis; the kernel
 sums in numpy's pairwise order, so every value has the bits of a
 row-major tile.
-The sample-mean functional runs only the kernel's mean step.
+
+The tiles hold unit paths (mu = 0, sigma = 1): in exact arithmetic a
+t-value centred at the true mean depends only on rho and the draws, the
+whitened one also on mu / sigma. The engine applies mu and sigma once per
+functional: tstat is the unit paths' t-value centred at 0; mtstat adds
+the whitened location (mu / sigma) (sqrt(1 - rho^2), 1 - rho, ...) to the
+whitened unit paths and centres at mu / sigma; mean is mu + sigma times
+the unit mean (the kernel's mean step only) and s2 sigma^2 times the unit
+variance. sample_paths returns the paths of params, mu + sigma y.
 
 ks_test and empirical_density take the tile's buffer contract for their
 samples (out=None sorts a finite copy, out=samples sorts the finite values
@@ -34,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import Ar1Params, Functional, integer, philox_seed
-from .process import _own_or_copy, paths_from_normals, stream_generator
+from .process import _own_or_copy, _scaled, paths_from_normals, stream_generator
 from .tstat import row_means, row_statistics, whiten
 
 __all__ = [
@@ -52,7 +61,10 @@ __all__ = [
 ]
 
 BLOCK_SIZE = 4096  # replications per stream; fixed so results never depend on workers
-TILE_NORMALS = 2**20  # normals per tile (8 MB): rows per tile are about TILE_NORMALS / n
+# normals per tile (4 MB): rows per tile are about TILE_NORMALS / n. At
+# n = 1000, 2**20 runs about 7% faster per normal at twice the memory, and
+# 2**18 saves no peak RSS and runs slower (BENCH_scale_free.json)
+TILE_NORMALS = 2**19
 
 
 @dataclass(frozen=True)
@@ -117,8 +129,8 @@ def _path_tiles(params: Ar1Params, seed: int, blocks: list[tuple[int, int]]):
     time-major (n, m) lanes. A tile is drawn through a stage of at most
     TILE_NORMALS // 8 normals (one row if n is larger, never more than the
     tile), each slice copied transposed into its columns of the lanes; the
-    recursion then runs in the lanes in place. Every tile reuses the same
-    lanes, so paths are valid only until the next tile.
+    unit recursion then runs in the lanes in place. Every tile reuses the
+    same lanes, so paths are valid only until the next tile.
     """
     n = params.n
     tile_rows = min(BLOCK_SIZE, max(1, TILE_NORMALS // n))
@@ -141,17 +153,30 @@ def _path_tiles(params: Ar1Params, seed: int, blocks: list[tuple[int, int]]):
 def _functional_blocks(
     params: Ar1Params, seed: int, blocks: list[tuple[int, int]], functional: Functional
 ) -> np.ndarray:
+    mu, sigma, rho = params.mu, params.sigma, params.rho
+    whitened = functional is Functional.MODIFIED_T_STAT
+    # on unit paths the t-value is centred at 0, the whitened one at mu / sigma
+    centre = mu / sigma if whitened else 0.0
     values = np.empty(sum(rows for _, rows in blocks))
     for offset, paths in _path_tiles(params, seed, blocks):
-        if functional is Functional.MODIFIED_T_STAT:
-            whiten(paths, params.rho, out=paths)
+        if whitened:
+            # the whitened path of mu / sigma + y: whitened y plus the
+            # whitened location (mu / sigma) (sqrt(1 - rho^2), 1 - rho, ...)
+            whiten(paths, rho, out=paths)
+            paths[:, 0] += centre * math.sqrt(1.0 - rho * rho)
+            paths[:, 1:] += centre * (1.0 - rho)
         if functional is Functional.SAMPLE_MEAN:
             column = row_means(paths)
         else:
             # row_statistics returns (means, bessel variances, t-values)
-            stats = row_statistics(paths, params.mu)
+            stats = row_statistics(paths, centre)
             column = stats[1 if functional is Functional.SAMPLE_VARIANCE else 2]
         values[offset : offset + len(column)] = column
+    if functional is Functional.SAMPLE_MEAN:
+        values *= sigma  # mu + sigma ybar
+        values += mu
+    elif functional is Functional.SAMPLE_VARIANCE:
+        values *= sigma * sigma  # inf where sigma^2 overflows
     return values
 
 
@@ -185,11 +210,12 @@ def simulate_functional(config: SimulationConfig, functional: Functional) -> np.
 
 
 def sample_paths(config: SimulationConfig) -> np.ndarray:
-    """All replication paths as a (replications, n) array, block order."""
+    """All replication paths as a (replications, n) array, block order:
+    mu + sigma times the engine's unit paths."""
     paths = np.empty((config.replications, config.params.n))
     for offset, tile in _path_tiles(config.params, config.seed, pool_layout(config)[0]):
         paths[offset : offset + len(tile)] = tile
-    return paths
+    return _scaled(config.params, paths)
 
 
 def _finite(samples, out=None) -> tuple[np.ndarray, int]:

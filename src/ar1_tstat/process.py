@@ -1,9 +1,11 @@
 """Path simulation and elementary distribution theory for stationary AR(1).
 
-paths_from_normals runs the AR recursion time-major, one vector of all rows
-per step, in place: in a fresh copy of the innovations, or, given
-out=normals, in the caller's array itself, whatever its memory layout. The
-Monte Carlo engine passes its time-major tile and gets the paths back there.
+paths_from_normals runs the AR recursion at unit scale (mu = 0, sigma = 1),
+time-major, one vector of all rows per step, in place: in a fresh copy of
+the innovations, or, given out=normals, in the caller's array itself,
+whatever its memory layout. The Monte Carlo engine passes its time-major
+tile and gets the unit paths back there; simulate_path returns the path of
+its params, mu + sigma times the unit path.
 """
 
 from __future__ import annotations
@@ -92,17 +94,19 @@ def _own_or_copy(array, out, name: str) -> np.ndarray:
 def paths_from_normals(
     params: Ar1Params, normals: np.ndarray, *, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Turn standard-normal innovations into AR(1) paths along the last axis.
+    """Turn standard-normal innovations into unit AR(1) paths along the last axis.
 
-    The first coordinate is scaled into the stationary marginal; later
-    coordinates follow the mean-reverting recursion. Both the single-path
+    The paths are those of params.rho and params.n at mu = 0 and sigma = 1;
+    mu + sigma times them are the paths of params (simulate_path). The first
+    coordinate is scaled into the stationary marginal; later coordinates
+    follow the recursion y[t] = z[t] + rho y[t-1]. Both the single-path
     simulator and the replication engine route through this function, so a
     path drawn in a block matches the standalone draw bit for bit.
 
     The recursion runs time-major, in place, in any memory layout: each
-    step updates all rows at one time step as (mu + rho (x[t-1] - mu)) +
-    sigma z[t], the float operation sequence of a row-by-row recursion, so
-    rows never depend on how many other rows are passed along.
+    step updates all rows at one time step with two array operations, the
+    float operation sequence of a row-by-row recursion, so rows never
+    depend on how many other rows are passed along.
 
     Parameters
     ----------
@@ -115,28 +119,35 @@ def paths_from_normals(
         case; any other out raises ValueError.
     """
     x = _own_or_copy(normals, out, "normals")
-    n, mu, sigma, rho = params.n, params.mu, params.sigma, params.rho
+    n, rho = params.n, params.rho
     if x.ndim == 0 or x.shape[-1] != n:
         raise ValueError(f"innovations have shape {x.shape}, expected a last axis of {n}")
     lanes = np.moveaxis(np.atleast_2d(x), -1, 0)  # a view: lanes[t] is time step t
-    # in-place updates swap the operands of + and *, which IEEE keeps exact
-    lanes[0] *= sigma / math.sqrt(1.0 - rho * rho)
-    lanes[0] += mu
-    lanes[1:] *= sigma
+    # a multiplication by the reciprocal: dividing by the root rounds
+    # differently and would move every pinned bit
+    lanes[0] *= 1.0 / math.sqrt(1.0 - rho * rho)
     step = np.empty(lanes.shape[1:])
     for t in range(1, n):
-        np.subtract(lanes[t - 1], mu, out=step)
-        step *= rho
-        step += mu
+        np.multiply(lanes[t - 1], rho, out=step)
         lanes[t] += step
     return x
 
 
+def _scaled(params: Ar1Params, unit: np.ndarray) -> np.ndarray:
+    """The unit paths turned in place into those of params: mu + sigma y."""
+    unit *= params.sigma
+    unit += params.mu
+    return unit
+
+
 def simulate_path(params: Ar1Params, seed: int, stream: int = 0) -> SamplePath:
-    """Draw one stationary path from the counter-based stream (seed, stream)."""
+    """Draw one stationary path from the counter-based stream (seed, stream).
+
+    The values are mu + sigma y, with y the unit path of the stream's draws.
+    """
     rng = stream_generator(seed, stream)
-    normals = rng.standard_normal(params.n)
-    return SamplePath(paths_from_normals(params, normals), params, int(seed), int(stream))
+    unit = paths_from_normals(params, rng.standard_normal(params.n))
+    return SamplePath(_scaled(params, unit), params, int(seed), int(stream))
 
 
 def linear_combination_law(params: Ar1Params, weights) -> NormalLaw:

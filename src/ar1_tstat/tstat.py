@@ -3,7 +3,9 @@
 whiten and the statistic kernel row_statistics work in place in rows of
 any memory layout; the kernel's row sums repeat numpy's pairwise order
 along the summed axis, so the Monte Carlo engine's time-major tiles give
-the bits of C-ordered paths.
+the bits of C-ordered paths. The engine runs the kernel on unit paths
+(mu = 0, sigma = 1): a t-value centred at the true mean does not depend
+on sigma.
 """
 
 from __future__ import annotations
@@ -166,7 +168,9 @@ def row_statistics(rows: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray,
     C-ordered copy. Two passes, mean first and then the centered sum of
     squares: the one-pass update loses digits once mean^2 dominates the
     variance. The t-value sqrt(n) (mean - mu) / s is NaN where s is 0, or
-    where the squared deviations overflow and s is inf.
+    where the squared deviations overflow and s is inf (on the engine's
+    unit paths only a whitened location mu / sigma above about 1e154 can
+    do that).
     The squared deviations are formed in rows, a float64 array, which is
     overwritten; a caller that needs its rows passes a copy.
     """

@@ -365,20 +365,47 @@ def test_summary_does_not_depend_on_the_dump(tmp_path, workers):
     assert len((tmp_path / "vals.csv").read_text().splitlines()) == 2 * BLOCK_SIZE + 1
 
 
-@pytest.mark.parametrize("functional", ["tstat", "mtstat"])
-def test_overflowing_squared_deviations_fail_visibly(tmp_path, capsys, functional):
-    # the Bessel variance of every path is inf at sigma 1e200; a t-value of 0
-    # printed a zero summary with exit 0, and a NaN fails the run as at 1e-200
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--functional", "s2", "--sigma", "1e200"],  # sigma^2 overflows
+        ["--functional", "mtstat", "--mu", "1e200"],  # the location's squares overflow
+        ["--functional", "mtstat", "--mu", "1e300", "--sigma", "1e-10"],  # mu / sigma does
+    ],
+    ids=["s2", "mtstat", "mtstat-location"],
+)
+def test_overflowing_squared_deviations_fail_visibly(tmp_path, capsys, flags):
+    # a value that overflows is no value: every replication is dropped and
+    # the run fails with one error line instead of printing a summary
     out = tmp_path / "sim.csv"
     rc = main(
         [
-            "simulate", "--functional", functional, "--n", "5", "--rho", "0.5",
-            "--sigma", "1e200", "--reps", "1000", "--seed", "1", "--out", str(out),
+            "simulate", *flags, "--n", "5", "--rho", "0.5", "--reps", "1000", "--seed", "1",
+            "--out", str(out),
         ]
     )
     assert rc == 2
     assert capsys.readouterr().err == "error: need at least two usable replications\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("functional", ["tstat", "mtstat"])
+def test_t_values_do_not_depend_on_sigma(tmp_path, functional):
+    # at mu = 0 a t-value is a function of rho and the draws alone; the
+    # engine runs at unit scale, so no sigma underflows or overflows it
+    dumps = []
+    for sigma in ("1e-200", "1", "1e200"):
+        vals = tmp_path / f"vals-{sigma}.csv"
+        done = _run_module(
+            [
+                "simulate", "--functional", functional, "--n", "5", "--rho", "0.5",
+                "--sigma", sigma, "--reps", "1000", "--seed", "1",
+                "--out", str(tmp_path / f"sim-{sigma}.csv"), "--values-out", str(vals),
+            ]
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        dumps.append(vals.read_bytes())
+    assert dumps[0] == dumps[1] == dumps[2]
 
 
 @pytest.mark.parametrize(
@@ -406,12 +433,13 @@ def test_values_out_may_not_overwrite_the_summary_or_its_manifest(
 # SHA-256 of `simulate --values-out` at n=7, rho=0.3, mu=0.2, seed 2024 and
 # BLOCK_SIZE + 9 replications (a full block plus a partial one). A change of
 # numpy's random stream, of the recursion or of the statistic kernel moves
-# these digests even when every run-against-run comparison still agrees.
+# these digests even when every run-against-run comparison still agrees. A
+# digest is changed only by the README's re-pin procedure.
 PINNED_VALUE_DIGESTS = {
-    "mean": "df6818f4752ac28f8e03a26bd8d0e5e617f2713b481fefbc6bc438d6b77ca635",
-    "s2": "7f09664b58e852ea80445e221085f266969ec89c51acd5004785bb95c6f8d009",
-    "tstat": "a2d6a2c734831bb47c53520d538464a52142d5b3eeb40b336728a5e0cdaa0205",
-    "mtstat": "b459ba5fb4831f865a6dc07efda614b476e3eaa14b97c03ef5434dea2fc8dab6",
+    "mean": "d332eb7e70702581e5b800553af2efe23c144a97b05acb4cca267f1bddb7169c",
+    "s2": "bdbea930a99ecaca4ad84c84d3060160318fb95ad75b01d791fc16153ff06b10",
+    "tstat": "05960f7009652597f0f35871fbf3ef6496a03bfa9225646026e24080ad6da90a",
+    "mtstat": "08b05c22d6833c39c36dd970c017108ad875a010d770b885c90166600ae9ce2b",
 }
 
 
@@ -453,7 +481,7 @@ PINNED_OUTPUT_DIGESTS = [
     (
         "sim.csv",
         "simulate --functional mean --n 7 --rho 0.3 --mu 0.2 --reps 5000 --seed 5",
-        "e80a892e0431c0ca3ac9e87d010018d6fc554706ac1ee21de1918a1a2df91684",
+        "23d6c26359b7ea4cabcf33b097061c6de0fce7c54f5d110751d88dbdc6d63bb1",
         False,
     ),
     (
@@ -658,13 +686,15 @@ _TOO_FEW = "error: need at least two usable replications\n"
 @pytest.mark.parametrize(
     "argv, code, err",
     [
-        (["simulate", "--functional", "tstat", *_OVERFLOW, "--sigma", "1e200"], 2, _TOO_FEW),
+        # a t-value does not depend on sigma: nothing overflows
+        (["simulate", "--functional", "tstat", *_OVERFLOW, "--sigma", "1e200"], 0, ""),
         (["simulate", "--functional", "s2", *_OVERFLOW, "--sigma", "1e200"], 2, _TOO_FEW),
         (
-            # two blocks in two forked workers, which inherit main's rule
+            # two blocks in two forked workers, which inherit main's rule;
+            # the squares of the whitened location overflow there
             [
-                "simulate", "--functional", "tstat", "--n", "5", "--rho", "0.5",
-                "--sigma", "1e200", "--reps", str(2 * BLOCK_SIZE), "--seed", "1",
+                "simulate", "--functional", "mtstat", "--n", "5", "--rho", "0.5",
+                "--mu", "1e200", "--reps", str(2 * BLOCK_SIZE), "--seed", "1",
                 "--workers", "2",
             ],
             2,

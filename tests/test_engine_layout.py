@@ -1,8 +1,9 @@
 """The engine's time-major tiles give the bits of a row-major engine.
 
-The reference draws each block whole, copies its paths into a C-ordered
-array and reduces them with numpy's own mean and sum along that array's
-contiguous last axis, as the engine did before its tiles stayed time-major.
+The reference draws each block whole, copies its unit paths into a
+C-ordered array, reduces them with numpy's own mean and sum along that
+array's contiguous last axis, as the engine did before its tiles stayed
+time-major, and applies mu and sigma per functional as the engine does.
 """
 
 import math
@@ -17,21 +18,27 @@ from ar1_tstat.tstat import whiten
 
 
 def _row_major_values(params, seed, blocks, functional):
-    n, parts = params.n, []
+    n, mu, sigma, rho, parts = params.n, params.mu, params.sigma, params.rho, []
+    centre = mu / sigma if functional is Functional.MODIFIED_T_STAT else 0.0
     for block, rows in blocks:
         tile = stream_generator(seed, block).standard_normal((rows, n))
         # a C-ordered copy: numpy sums a strided row in another order
         paths = paths_from_normals(params, tile).copy()
         if functional is Functional.MODIFIED_T_STAT:
-            paths = whiten(paths, params.rho)
+            paths = whiten(paths, rho)
+            paths[:, 0] += centre * math.sqrt(1.0 - rho * rho)
+            paths[:, 1:] += centre * (1.0 - rho)
         means = paths.mean(axis=-1)
         centered = paths - means[:, None]
         centered *= centered
         bessel = centered.sum(axis=-1) / (n - 1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            t_values = math.sqrt(n) * (means - params.mu) / np.sqrt(bessel)
+            t_values = math.sqrt(n) * (means - centre) / np.sqrt(bessel)
         t_values[bessel == 0.0] = np.nan
-        by_functional = {Functional.SAMPLE_MEAN: means, Functional.SAMPLE_VARIANCE: bessel}
+        by_functional = {
+            Functional.SAMPLE_MEAN: mu + sigma * means,
+            Functional.SAMPLE_VARIANCE: (sigma * sigma) * bessel,
+        }
         parts.append(by_functional.get(functional, t_values))
     return np.concatenate(parts)
 
@@ -43,7 +50,9 @@ def _assert_row_major_bits(params, blocks):
         assert got.tobytes() == want.tobytes(), functional
 
 
-@pytest.mark.parametrize("tile_normals", [montecarlo.TILE_NORMALS, 3001])
+# the default tile, one of twice its size (a whole block up to n = 256) and
+# one of 3,001 normals
+@pytest.mark.parametrize("tile_normals", [montecarlo.TILE_NORMALS, 2**20, 3001])
 @pytest.mark.parametrize("n", [2, 7, 8, 9, 10, 127, 128, 129, 257, 1000])
 def test_time_major_tiles_equal_row_major_reference(monkeypatch, n, tile_normals):
     # with 3,001 normals per tile, tiles hold from 1,500 rows (n=2) down to
@@ -55,11 +64,12 @@ def test_time_major_tiles_equal_row_major_reference(monkeypatch, n, tile_normals
     _assert_row_major_bits(params, blocks)
 
 
-@pytest.mark.parametrize("tile_normals", [montecarlo.TILE_NORMALS, 15 * 3001])
+@pytest.mark.parametrize("tile_normals", [montecarlo.TILE_NORMALS, 2**20, 15 * 3001])
 def test_staged_draws_equal_row_major_reference(monkeypatch, tile_normals):
-    # at n=3001 the default 349-row tile is drawn in 43-row stages, which do
-    # not divide it; 15 x 3001 normals per tile give 15-row tiles drawn
-    # through a 1-row stage
+    # at n=3001 the default 174-row tile is drawn in 21-row stages and a
+    # 349-row tile of 2^20 normals in 43-row stages, neither of which divides
+    # its tile; 15 x 3001 normals per tile give 15-row tiles drawn through a
+    # 1-row stage
     monkeypatch.setattr(montecarlo, "TILE_NORMALS", tile_normals)
     _assert_row_major_bits(Ar1Params(mu=0.3, sigma=1.3, rho=0.8, n=3001), [(0, 360), (3, 12)])
 
@@ -77,7 +87,7 @@ class _RecordedStream:
 
 def test_tiles_stay_time_major(monkeypatch):
     # a tile is drawn through a small stage, never into a second tile-sized
-    # buffer: at n=1000, 131-row stage slices fill a 1,048-row tile and
+    # buffer: at n=1000, 65-row stage slices fill two 524-row tiles and
     # then a 52-row one; at n=10, one stage slice is the whole tile
     stages = []
     monkeypatch.setattr(

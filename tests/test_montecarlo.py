@@ -78,15 +78,16 @@ def test_config_normalizes_numpy_integers():
 
 
 def test_engine_matches_scalar_statistics_bitwise():
-    """Row r of the engine equals the scalar pipeline on stream block."""
-    cfg = _config(2 * BLOCK_SIZE + 100, mu=0.4, rho=0.6)
+    """At mu = 0 and sigma = 1, row 0 of block b equals the scalar pipeline
+    on the path of stream b."""
+    cfg = _config(2 * BLOCK_SIZE + 100, rho=0.6)
     t_vals = simulate_functional(cfg, Functional.T_STAT)
     mt_vals = simulate_functional(cfg, Functional.MODIFIED_T_STAT)
     means = simulate_functional(cfg, Functional.SAMPLE_MEAN)
     variances = simulate_functional(cfg, Functional.SAMPLE_VARIANCE)
     for block in (0, 1, 2):
         path = simulate_path(cfg.params, seed=cfg.seed, stream=block)
-        classical = t_statistic(path, mu=0.4)
+        classical = t_statistic(path)
         assert t_vals[block * BLOCK_SIZE] == classical.value
         assert mt_vals[block * BLOCK_SIZE] == modified_t_statistic(path).value
         assert means[block * BLOCK_SIZE] == classical.sample_mean
@@ -100,31 +101,47 @@ def test_worker_count_never_changes_results():
         assert np.array_equal(simulate_functional(cfg1, f), simulate_functional(cfg4, f))
 
 
+def _whitened_unit_values(unit_paths, rho, centre):
+    # the whitened paths of centre + y: whitened y plus the whitened
+    # location centre (sqrt(1 - rho^2), 1 - rho, ...), in the engine's order
+    w = whiten(unit_paths, rho)
+    w[..., 0] += centre * math.sqrt(1.0 - rho * rho)
+    w[..., 1:] += centre * (1.0 - rho)
+    return w
+
+
 def _one_shot_values(cfg, functional):
-    # each block drawn in one call, recurred and reduced whole
+    # each block drawn in one call, recurred and reduced whole, then mapped
+    # to mu and sigma
     p, parts = cfg.params, []
+    centre = p.mu / p.sigma if functional is Functional.MODIFIED_T_STAT else 0.0
     column = {Functional.SAMPLE_MEAN: 0, Functional.SAMPLE_VARIANCE: 1}.get(functional, 2)
     for start in range(0, cfg.replications, BLOCK_SIZE):
         rows = min(BLOCK_SIZE, cfg.replications - start)
         z = stream_generator(cfg.seed, start // BLOCK_SIZE).standard_normal((rows, p.n))
         paths = paths_from_normals(p, z)
         if functional is Functional.MODIFIED_T_STAT:
-            paths = whiten(paths, p.rho)
-        parts.append(row_statistics(paths, p.mu)[column])
-    return np.concatenate(parts)
+            paths = _whitened_unit_values(paths, p.rho, centre)
+        parts.append(row_statistics(paths, centre)[column])
+    values = np.concatenate(parts)
+    if functional is Functional.SAMPLE_MEAN:
+        return p.mu + p.sigma * values
+    if functional is Functional.SAMPLE_VARIANCE:
+        return (p.sigma * p.sigma) * values
+    return values
 
 
 @pytest.mark.parametrize(
     "n, reps",
     [
-        (1000, BLOCK_SIZE + 3),  # 1,048-row tiles do not divide a block
+        (1000, BLOCK_SIZE + 3),  # 524-row tiles do not divide a block
         (300, 2 * BLOCK_SIZE - 1),
         (300, 2 * BLOCK_SIZE + 1),
     ],
 )
 def test_tiles_equal_one_shot_blocks_bitwise(n, reps):
     assert BLOCK_SIZE % (TILE_NORMALS // n) != 0
-    cfg = _config(reps, seed=314, mu=0.1, rho=0.95, n=n)
+    cfg = _config(reps, seed=314, mu=0.1, sigma=1.7, rho=0.95, n=n)
     for functional in Functional:
         want = _one_shot_values(cfg, functional)
         assert np.array_equal(simulate_functional(cfg, functional), want, equal_nan=True)
@@ -138,19 +155,53 @@ def test_tiled_worker_counts_agree(n, reps):
 
 
 def test_tiled_block_row_zero_matches_simulate_path():
-    cfg = _config(BLOCK_SIZE + 3, seed=21, mu=0.2, rho=0.9, n=1000)
-    t_vals = simulate_functional(cfg, Functional.T_STAT)
-    mt_vals = simulate_functional(cfg, Functional.MODIFIED_T_STAT)
+    # the replication audit at mu != 0 and sigma != 1 (README): the engine
+    # works on the unit path u of stream b, so r = t_statistic(u) gives the
+    # tstat, mean and s2 values of row 0 of block b bit for bit, and the
+    # mtstat value is t_statistic of the whitened u plus the whitened
+    # location, centred at mu / sigma
+    mu, sigma, rho = 0.2, 0.7, 0.9
+    cfg = _config(BLOCK_SIZE + 3, seed=21, mu=mu, sigma=sigma, rho=rho, n=1000)
+    unit = Ar1Params(mu=0.0, sigma=1.0, rho=rho, n=1000)
+    values = {f: simulate_functional(cfg, f) for f in Functional}
     for block in (0, 1):
-        path = simulate_path(cfg.params, seed=cfg.seed, stream=block)
-        assert t_vals[block * BLOCK_SIZE] == t_statistic(path, mu=0.2).value
-        assert mt_vals[block * BLOCK_SIZE] == modified_t_statistic(path).value
+        row = block * BLOCK_SIZE
+        u = simulate_path(unit, seed=cfg.seed, stream=block).values
+        r = t_statistic(u)
+        assert values[Functional.T_STAT][row] == r.value
+        assert values[Functional.SAMPLE_MEAN][row] == mu + sigma * r.sample_mean
+        assert values[Functional.SAMPLE_VARIANCE][row] == sigma * sigma * r.bessel_variance
+        w = _whitened_unit_values(u, rho, mu / sigma)
+        assert values[Functional.MODIFIED_T_STAT][row] == t_statistic(w, mu / sigma).value
+
+
+@pytest.mark.parametrize("n", [2, 7, 100])
+@pytest.mark.parametrize("rho", [-(1.0 - 1e-9), 0.0, 0.5, 0.999])
+@pytest.mark.parametrize("mu, sigma", [(0.2, 1.0), (-3.0, 1e-3), (1e4, 7.0), (5e-90, 1e-100)])
+def test_modified_t_of_the_scaled_path_agrees_within_its_rounding(n, rho, mu, sigma):
+    # modified_t_statistic whitens the path mu + sigma y itself; the engine
+    # whitens y and adds the location, so the two differ by rounding, at most
+    # 8 eps sqrt(n) (1 + |t|) (1 + |mu| / sigma + max |y|) / s (s the
+    # whitened sample's standard deviation in units of sigma)
+    params = Ar1Params(mu=mu, sigma=sigma, rho=rho, n=n)
+    unit = Ar1Params(mu=0.0, sigma=1.0, rho=rho, n=n)
+    centre = mu / sigma
+    for stream in range(40):
+        u = simulate_path(unit, seed=3, stream=stream).values
+        engine = t_statistic(_whitened_unit_values(u, rho, centre), centre)
+        scaled = modified_t_statistic(simulate_path(params, seed=3, stream=stream))
+        bound = (
+            8 * np.finfo(float).eps * math.sqrt(n) * (1.0 + abs(engine.value))
+            * (1.0 + abs(centre) + float(np.abs(u).max())) / math.sqrt(engine.bessel_variance)
+        )
+        assert abs(scaled.value - engine.value) <= bound
 
 
 def test_engine_memory_is_bounded_by_the_tile():
     # whole 4096 x 1000 blocks and their temporaries would need about 126 MB;
-    # one 1,048-row tile (8 MiB) and a 1 MiB draw stage take about 9.3 MiB,
-    # so a second tile-sized buffer would break the bound
+    # one 524-row tile (4 MiB) and a 0.5 MiB draw stage take about 4.7 MiB,
+    # so a second tile-sized buffer, or a tile of 2^20 normals (9.3 MiB),
+    # would break the bound
     cfg = _config(2 * BLOCK_SIZE, seed=314, rho=0.95, n=1000)
     tracemalloc.start()
     try:
@@ -158,7 +209,7 @@ def test_engine_memory_is_bounded_by_the_tile():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2**20
+    assert peak < 6 * 2**20
 
 
 def test_engine_calls_each_traced_layer_once_per_tile(monkeypatch):
@@ -202,7 +253,8 @@ def test_prefix_stability():
 
 
 def test_sample_paths_shape_and_determinism():
-    cfg = _config(300, n=7)
+    # paths are bit-exact at every mu and sigma
+    cfg = _config(300, n=7, mu=0.4, sigma=2.5)
     paths = sample_paths(cfg)
     assert paths.shape == (300, 7)
     assert np.array_equal(paths, sample_paths(cfg))
@@ -210,13 +262,17 @@ def test_sample_paths_shape_and_determinism():
 
 
 def test_functional_values():
-    cfg = _config(50, mu=0.2)
-    paths = sample_paths(cfg)
+    # paths are mu + sigma y; mean is mu + sigma ybar and s2 sigma^2 s_y^2
+    mu, sigma = 0.2, 1.5
+    cfg = _config(50, mu=mu, sigma=sigma)
+    unit = sample_paths(_config(50))
+    assert sample_paths(cfg).tobytes() == (unit * sigma + mu).tobytes()
     means = simulate_functional(cfg, Functional.SAMPLE_MEAN)
     s2 = simulate_functional(cfg, Functional.SAMPLE_VARIANCE)
-    assert np.array_equal(means, paths.mean(axis=1))
-    centered = paths - paths.mean(axis=1, keepdims=True)
-    assert np.array_equal(s2, np.sum(centered * centered, axis=1) / (cfg.params.n - 1))
+    assert np.array_equal(means, mu + sigma * unit.mean(axis=1))
+    centered = unit - unit.mean(axis=1, keepdims=True)
+    s2_unit = np.sum(centered * centered, axis=1) / (cfg.params.n - 1)
+    assert np.array_equal(s2, sigma * sigma * s2_unit)
 
 
 def test_summarize_basic():

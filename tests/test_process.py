@@ -53,16 +53,18 @@ def test_numpy_integer_seed_and_stream_accepted():
 
 
 def test_paths_from_normals_recursion():
-    """Hand-unroll the recursion for one short draw."""
+    """Hand-unroll the unit recursion for one short draw; mu and sigma are not read."""
     p = Ar1Params(mu=0.5, sigma=2.0, rho=0.6, n=4)
     z = np.array([0.3, -1.2, 0.8, 0.1])
     path = paths_from_normals(p, z)
-    x0 = 0.5 + 2.0 / math.sqrt(1.0 - 0.36) * 0.3
-    assert path[0] == x0
-    x1 = 0.5 + 0.6 * (x0 - 0.5) + 2.0 * -1.2
-    assert path[1] == x1
-    x2 = 0.5 + 0.6 * (x1 - 0.5) + 2.0 * 0.8
-    assert path[2] == x2
+    y0 = 1.0 / math.sqrt(1.0 - 0.36) * 0.3
+    assert path[0] == y0
+    y1 = -1.2 + 0.6 * y0
+    assert path[1] == y1
+    y2 = 0.8 + 0.6 * y1
+    assert path[2] == y2
+    unit = Ar1Params(mu=0.0, sigma=1.0, rho=0.6, n=4)
+    assert paths_from_normals(unit, z).tobytes() == path.tobytes()
 
 
 def test_paths_from_normals_batched_rows_match_single():
@@ -75,8 +77,20 @@ def test_paths_from_normals_batched_rows_match_single():
 
 
 def _row_by_row_paths(p, z):
-    # the recursion column by column over all rows, in the operation order
-    # (mu + rho (x[t-1] - mu)) + sigma z[t]
+    # the unit recursion column by column over all rows, in the operation
+    # order z[t] + rho y[t-1]
+    rho = p.rho
+    paths = np.empty_like(z)
+    paths[..., 0] = (1.0 / math.sqrt(1.0 - rho * rho)) * z[..., 0]
+    for t in range(1, p.n):
+        paths[..., t] = z[..., t] + rho * paths[..., t - 1]
+    return paths
+
+
+def _scaled_row_by_row_paths(p, z):
+    # the scaled recursion written out, (mu + rho (x[t-1] - mu)) + sigma z[t]:
+    # the benchmark's digests, all at mu = 0 and sigma = 1, were pinned with
+    # this operation order
     mu, sigma, rho = p.mu, p.sigma, p.rho
     paths = np.empty_like(z)
     paths[..., 0] = mu + (sigma / math.sqrt(1.0 - rho * rho)) * z[..., 0]
@@ -91,6 +105,24 @@ def test_time_major_recursion_equals_row_by_row_bitwise(rho):
     z = stream_generator(5, 2).standard_normal((33, 57))
     assert np.array_equal(paths_from_normals(p, z), _row_by_row_paths(p, z))
     assert np.array_equal(paths_from_normals(p, z[7]), _row_by_row_paths(p, z[7]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 129, 1000])
+@pytest.mark.parametrize("rho", [-(1.0 - 1e-9), -0.9, 0.0, 0.3, 0.8, 0.95, 1.0 - 1e-9])
+def test_unit_recursion_has_the_bits_of_the_scaled_one_at_mu_0_sigma_1(n, rho):
+    # at mu = 0 and sigma = 1 the two-operation step z + rho y equals
+    # (0 + rho (y - 0)) + 1 z bit for bit, so every value the benchmark pins
+    # (all at mu = 0, sigma = 1) keeps its bits
+    p = Ar1Params(mu=0.0, sigma=1.0, rho=rho, n=n)
+    z = stream_generator(314, n).standard_normal((17, n))
+    assert paths_from_normals(p, z).tobytes() == _scaled_row_by_row_paths(p, z).tobytes()
+
+
+def test_simulate_path_is_mu_plus_sigma_times_the_unit_path():
+    p = Ar1Params(mu=-0.7, sigma=2.5, rho=0.9, n=40)
+    unit = paths_from_normals(p, stream_generator(8, 3).standard_normal(40))
+    want = unit * 2.5 + -0.7
+    assert simulate_path(p, seed=8, stream=3).values.tobytes() == want.tobytes()
 
 
 def test_paths_from_normals_returns_out_or_a_fresh_copy():
@@ -110,8 +142,8 @@ def test_paths_from_normals_returns_out_or_a_fresh_copy():
 
 @pytest.mark.parametrize("layout", ["1-D", "C-ordered", "F-ordered"])
 def test_paths_from_normals_runs_in_place_in_out(layout):
-    # out=normals overwrites the innovations with the paths, in any layout,
-    # to the bits of the row-by-row recursion
+    # out=normals overwrites the innovations with the unit paths, in any
+    # layout, to the bits of the row-by-row recursion
     p = Ar1Params(mu=-0.2, sigma=0.8, rho=0.7, n=11)
     z = stream_generator(3, 1).standard_normal((6, 11))
     z = z[0] if layout == "1-D" else z

@@ -259,7 +259,7 @@ def test_whitened_mean_matches_empirical():
     p = Ar1Params(mu=1.5, sigma=1.2, rho=0.65, n=8)
     reps = 100_000
     z = stream_generator(606, 0).standard_normal((reps, 8))
-    w = whiten(paths_from_normals(p, z), 0.65) / 1.2
+    w = whiten(1.5 + 1.2 * paths_from_normals(p, z), 0.65) / 1.2  # mu + sigma y
     est = w.mean(axis=1).mean()
     se = w.mean(axis=1).std(ddof=1) / math.sqrt(reps)
     assert abs(est - whitened_mean(p) / 1.2) < 4 * se
