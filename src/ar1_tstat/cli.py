@@ -14,6 +14,8 @@ warnings are off while a handler runs, so they never reach stderr.
 The module loads only numpy and the parameter types: each subcommand
 imports the modules it runs inside its handler, timed as the manifest's
 ``import`` phase, so a process loads no code that its command does not use.
+The reference laws of ``simulate`` own their cdfs (StudentLaw.cdf and
+NormalLaw.cdf); the front end holds no law numerics.
 """
 
 from __future__ import annotations
@@ -266,27 +268,17 @@ def cmd_verify(args, phases):
 
 
 def _reference_cdf(functional: Functional, params: Ar1Params):
-    """Exact reference law for the functional, or None if there is none."""
-    if functional in (Functional.T_STAT, Functional.MODIFIED_T_STAT):
-        from .student import StudentLaw  # the t laws only: mean and s2 never load it
-
-        law = StudentLaw(params.n - 1)
-        return law.cdf, f"student-t({params.n - 1})"
+    """The cdf and name of the functional's exact reference law, or (None, "")."""
+    if functional is Functional.SAMPLE_VARIANCE:
+        return None, ""
     if functional is Functional.SAMPLE_MEAN:
         from .process import linear_combination_law
 
         law = linear_combination_law(params, np.full(params.n, 1.0 / params.n))
-        def normal_cdf(x):
-            z = (np.asarray(x, dtype=float) - law.mean) / (law.std * math.sqrt(2.0))
-            # libm's erf, one Python call per value, written straight into float64
-            cdf = np.fromiter(map(math.erf, z.ravel()), float, z.size).reshape(z.shape)
-            del z
-            cdf += 1.0  # 0.5 * (1.0 + erf(z)), in place
-            cdf *= 0.5
-            return cdf
+        return law.cdf, f"normal({law.mean:g},{law.variance:g})"
+    from .student import StudentLaw  # the t laws only: mean and s2 never load it
 
-        return normal_cdf, f"normal({law.mean:g},{law.variance:g})"
-    return None, ""
+    return StudentLaw(params.n - 1).cdf, f"student-t({params.n - 1})"
 
 
 def _simulation(args) -> tuple[SimulationConfig, Functional]:
@@ -431,9 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--out", required=True, help="CSV output path")
     table.set_defaults(handler=cmd_table_moments)
 
-    verify = subparsers.add_parser(
-        "verify", help="run the identity grid and write a JSON report"
-    )
+    verify = subparsers.add_parser("verify", help="run the identity grid and write a JSON report")
     verify.add_argument("--grid", choices=["default", "small"], default="default")
     verify.add_argument("--grid-n", default=None, help="override n grid")
     verify.add_argument("--grid-rho", default=None, help="override rho grid")
@@ -442,9 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--out", required=True, help="JSON report path")
     verify.set_defaults(handler=cmd_verify)
 
-    simulate = subparsers.add_parser(
-        "simulate", help="replicate a functional and summarize it"
-    )
+    simulate = subparsers.add_parser("simulate", help="replicate a functional and summarize it")
     _add_model_flags(simulate)
     _add_run_flags(simulate)
     simulate.add_argument(

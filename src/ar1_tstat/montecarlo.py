@@ -197,15 +197,8 @@ def simulate_functional(config: SimulationConfig, functional: Functional) -> np.
     from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import
 
     with ProcessPoolExecutor(workers) as pool:
-        parts = list(
-            pool.map(
-                _functional_blocks,
-                [params] * workers,
-                [seed] * workers,
-                shares,
-                [functional] * workers,
-            )
-        )
+        tasks = [(params, seed, share, functional) for share in shares]
+        parts = list(pool.map(_functional_blocks, *zip(*tasks)))
     return np.concatenate(parts)
 
 

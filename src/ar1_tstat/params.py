@@ -40,6 +40,18 @@ def philox_seed(value) -> int:
     return seed
 
 
+def stationary_rho(value) -> float:
+    """value as an AR(1) coefficient: a finite real, |rho| <= 1 - STATIONARITY_MARGIN."""
+    rho = real("rho", value)
+    if not math.isfinite(rho):
+        raise ValueError(f"rho must be finite, got {rho!r}")
+    if abs(rho) > 1.0 - STATIONARITY_MARGIN:
+        raise ValueError(
+            f"stationarity requires |rho| <= 1 - {STATIONARITY_MARGIN:g}, got rho = {rho}"
+        )
+    return rho
+
+
 @dataclass(frozen=True)
 class Ar1Params:
     """Parameters of a stationary Gaussian first-order autoregression.
@@ -66,18 +78,14 @@ class Ar1Params:
     n: int
 
     def __post_init__(self) -> None:
-        for name in ("mu", "sigma", "rho"):
+        for name in ("mu", "sigma"):
             value = real(name, getattr(self, name))
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "rho", stationary_rho(self.rho))
         if self.sigma <= 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if abs(self.rho) > 1.0 - STATIONARITY_MARGIN:
-            raise ValueError(
-                f"stationarity requires |rho| <= 1 - {STATIONARITY_MARGIN:g}, "
-                f"got rho = {self.rho}"
-            )
         object.__setattr__(self, "n", integer("n", self.n))
         if self.n < 2:
             raise ValueError(f"n must be at least 2, got {self.n}")

@@ -1,11 +1,9 @@
 """Path simulation and elementary distribution theory for stationary AR(1).
 
 paths_from_normals runs the AR recursion at unit scale (mu = 0, sigma = 1),
-time-major, one vector of all rows per step, in place: in a fresh copy of
-the innovations, or, given out=normals, in the caller's array itself,
-whatever its memory layout. The Monte Carlo engine passes its time-major
-tile and gets the unit paths back there; simulate_path returns the path of
-its params, mu + sigma times the unit path.
+in place in any memory layout; simulate_path returns mu + sigma times the
+unit path. linear_combination_law resolves the normal law of w'X by one
+O(n) backward AR sweep, with no n x n matrix; NormalLaw.cdf is its cdf.
 """
 
 from __future__ import annotations
@@ -43,6 +41,20 @@ class NormalLaw:
     @property
     def std(self) -> float:
         return math.sqrt(self.variance)
+
+    def cdf(self, x):
+        """P(X <= x) elementwise, a float for a scalar x; at variance 0 the step at the mean."""
+        x = np.asarray(x, dtype=float)
+        if self.variance == 0.0:  # a point mass
+            cdf = np.heaviside(x - self.mean, 1.0)
+        else:
+            z = (x - self.mean) / (self.std * math.sqrt(2.0))
+            # libm's erf, one Python call per value, written straight into float64
+            cdf = np.fromiter(map(math.erf, z.ravel()), float, z.size).reshape(z.shape)
+            del z
+            cdf += 1.0  # 0.5 * (1.0 + erf(z)), in place
+            cdf *= 0.5
+        return cdf if cdf.ndim else float(cdf)
 
 
 @dataclass(frozen=True)
@@ -150,34 +162,44 @@ def simulate_path(params: Ar1Params, seed: int, stream: int = 0) -> SamplePath:
     return SamplePath(_scaled(params, unit), params, int(seed), int(stream))
 
 
+def _high_half(a: float) -> float:
+    t = 134217729.0 * a  # Dekker's split by 2**27 + 1: a product of high halves is exact
+    return t - (t - a)
+
+
 def linear_combination_law(params: Ar1Params, weights) -> NormalLaw:
     """Exact law of the scalar product of weights with the path.
 
-    Any linear combination of jointly Gaussian coordinates is normal; the
-    mean is mu times the weight sum and the variance is the double sum
-    sigma^2 * sum_{j,k} w_j w_k Omega_{jk} over the covariance entries.
+    The law is normal, with mean mu sum(w) and variance sigma^2 w' Omega w
+    = sigma^2 |C'w|^2, C the AR Cholesky factor. C'w is the backward sweep
+    v_j = w_j + rho v_{j+1}, its first entry over sqrt((1 - rho)(1 + rho)),
+    compensated (Graillat, Langlois and Louvet's Horner scheme), so as
+    accurate as at twice the precision; math.fsum sums the squares.
 
     Parameters
     ----------
     params : Ar1Params
     weights : array_like
         Finite coefficients, length params.n.
-
-    Returns
-    -------
-    NormalLaw
     """
     w = np.asarray(weights, dtype=float)
     if w.shape != (params.n,):
         raise ValueError(f"weights must have shape ({params.n},), got {w.shape}")
     if not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite")
-    from .matrices import covariance_matrix  # only this law needs the dense matrix
-
-    cov = covariance_matrix(params)
+    rho, v, low, squares = params.rho, 0.0, 0.0, []
+    rho_hi = _high_half(rho)
+    for weight in reversed(w.tolist()):
+        # the exact rounding errors of the product (Dekker) and the sum (Knuth) go to low
+        product, v_hi = rho * v, _high_half(v)
+        error = (rho_hi * v_hi - product) + rho_hi * (v - v_hi) + (rho - rho_hi) * v
+        v = product + weight
+        back = v - product
+        low = rho * low + (error + (product - (v - back)) + (weight - back))
+        squares.append((v + low) * (v + low))
+    squares[-1] /= (1.0 - rho) * (1.0 + rho)  # 1 - rho**2 is 5e-10 off at |rho| = 1 - 1e-9
     try:
-        variance = params.sigma**2 * float(w @ cov @ w)
+        variance = params.sigma**2 * math.fsum(squares)
     except OverflowError:  # sigma**2 past the float range
         raise ValueError(f"the variance overflows at sigma = {params.sigma!r}") from None
-    # roundoff can push an exact zero a hair negative
-    return NormalLaw(mean=params.mu * float(w.sum()), variance=max(variance, 0.0))
+    return NormalLaw(mean=params.mu * float(w.sum()), variance=variance)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import Ar1Params, Functional
+from .params import Ar1Params, Functional, stationary_rho
 from .process import _own_or_copy
 
 __all__ = [
@@ -73,8 +73,10 @@ def whiten(values: np.ndarray, rho: float, *, out: np.ndarray | None = None) -> 
     step before that step is overwritten; the temporary holds one block
     (about _WHITEN_BLOCK_BYTES). out=None whitens a copy of values and
     out=values, a float64 array, values itself; either is returned. Any
-    other out, or an empty last axis, raises ValueError.
+    other out, or an empty last axis, raises ValueError; a rho that
+    Ar1Params rejects raises its error before anything is written.
     """
+    rho = stationary_rho(rho)
     x = _own_or_copy(values, out, "values")
     if x.ndim == 0 or x.shape[-1] == 0:
         raise ValueError(f"whiten needs a last axis of length >= 1, got shape {x.shape}")

@@ -105,11 +105,7 @@ class VerificationReport:
     def as_dict(self) -> dict:
         return {
             "passed": self.passed,
-            "grid": {
-                "n": list(self.n_grid),
-                "rho": list(self.rho_grid),
-                "sigma": self.sigma,
-            },
+            "grid": {"n": list(self.n_grid), "rho": list(self.rho_grid), "sigma": self.sigma},
             "checks": [asdict(c) for c in self.checks],
             "discrepancies": [
                 {
@@ -151,9 +147,7 @@ def _scalar_gaps(params: Ar1Params, reports: dict) -> dict[str, float]:
     form_a = reports[MomentQuantity.SCALED_MEAN_VARIANCE].closed_form
     form_b = moments.variance_of_scaled_mean_regrouped(params)
     profile = oracle.mean_covariance_profile(params)
-    closed_profile = [
-        moments.covariance_with_mean(params, j) for j in range(1, params.n + 1)
-    ]
+    closed_profile = [moments.covariance_with_mean(params, j) for j in range(1, params.n + 1)]
     per_j = max(_rel_gap(c, float(o)) for c, o in zip(closed_profile, profile))
     # the covariances with the mean sum to n Var(sample mean), whose closed form is form_a
     try:
@@ -189,9 +183,7 @@ def run_verification(
     if tolerance_override is not None and not tolerance_override >= 0.0:
         raise ValueError(f"tolerance must be a number >= 0, got {tolerance_override!r}")
     n_grid = tuple(integer("n", n) for n in (n_grid if n_grid is not None else DEFAULT_N_GRID))
-    rho_grid = tuple(
-        float(r) for r in (rho_grid if rho_grid is not None else DEFAULT_RHO_GRID)
-    )
+    rho_grid = tuple(float(r) for r in (rho_grid if rho_grid is not None else DEFAULT_RHO_GRID))
     if not (n_grid and rho_grid):
         raise ValueError("verification needs a non-empty n grid and rho grid")
     points: list[tuple[int, float]] = []
@@ -208,16 +200,8 @@ def run_verification(
             tolerance = tolerance_override
         worst = int(np.argmax(gaps[name]))  # the first largest gap, or the first NaN
         gap, (n, rho) = gaps[name][worst], points[worst]
-        checks.append(
-            IdentityCheck(
-                name=name,
-                tolerance=tolerance,
-                max_gap=gap,
-                worst_n=n,
-                worst_rho=rho,
-                passed=gap <= tolerance,  # a NaN gap fails
-            )
-        )
+        # a NaN gap fails
+        checks.append(IdentityCheck(name, tolerance, gap, n, rho, passed=gap <= tolerance))
     return VerificationReport(
         checks=tuple(checks),
         discrepancies=tuple(flagged),

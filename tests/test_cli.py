@@ -262,6 +262,37 @@ def test_normal_reference_cdf_bits_and_memory():
         assert got[i] == 0.5 * (1.0 + math.erf((x[i] - law.mean) / scale))
 
 
+def test_normal_reference_cdf_is_bit_equal_to_the_erf_closure():
+    # the pinned sim.csv run: NormalLaw.cdf repeats the front end's former
+    # closure, operation for operation
+    params = Ar1Params(mu=0.2, sigma=1.0, rho=0.3, n=7)
+    config = montecarlo.SimulationConfig(params, replications=5000, seed=5)
+    x = montecarlo.simulate_functional(config, Functional.SAMPLE_MEAN)
+    cdf, _ = cli._reference_cdf(Functional.SAMPLE_MEAN, params)
+    law = linear_combination_law(params, np.full(7, 1.0 / 7))
+    z = (x - law.mean) / (law.std * math.sqrt(2.0))
+    want = np.fromiter(map(math.erf, z.ravel()), float, z.size).reshape(z.shape)
+    want += 1.0
+    want *= 0.5
+    assert cdf(x).tobytes() == want.tobytes()
+
+
+def test_simulate_mean_runs_at_a_hundred_thousand_steps(tmp_path):
+    # the sample mean's law is one O(n) sweep: no n x n matrix (74.5 GiB here).
+    # A small launcher forks the run: a child's ru_maxrss starts from the
+    # pages it shares with its parent at the fork, here the whole test process
+    out = tmp_path / "mean.csv"
+    argv = ["simulate", "--functional", "mean", "--n", "100000", "--rho", "0.5"]
+    launcher = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+    command = [sys.executable, "-c", launcher, sys.executable, "-m", "ar1_tstat", *argv]
+    command += ["--reps", "100", "--seed", "1", "--out", str(out)]
+    done = subprocess.run(command, env=_child_env(), capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    assert manifest["run"]["peak_rss_mb"]["self"] < 100.0
+    assert _read_rows(out)[0]["ks_reference"] == "normal(0,3.99995e-05)"
+
+
 def test_simulate_s2_has_no_reference_law(tmp_path):
     out = tmp_path / "sim.csv"
     rc = main(
@@ -876,13 +907,12 @@ _SMALL_SIMULATION = ["--n", "5", "--rho", "0.3", "--reps", "500", "--seed", "3"]
             ("moments", "verification", "oracle", "matrices"),
         ),
         (
-            # the sample mean's reference law is the one use of the dense matrix
             ["simulate", "--functional", "mean", *_SMALL_SIMULATION],
-            ("montecarlo", "process", "tstat", "matrices"),
-            ("student", "moments", "verification", "oracle"),
+            ("montecarlo", "process", "tstat"),
+            ("student", "matrices", "moments", "verification", "oracle"),
         ),
         (
-            # no reference law: neither the Student law nor the dense matrix
+            # no reference law: no Student law either
             ["simulate", "--functional", "s2", *_SMALL_SIMULATION],
             ("montecarlo", "process", "tstat"),
             ("student", "matrices", "moments", "verification", "oracle"),

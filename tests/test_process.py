@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -236,6 +237,46 @@ def test_linear_combination_law_sample_mean_agrees_with_simulation():
     est = means.var(ddof=1)
     se = est * math.sqrt(2.0 / (len(means) - 1))
     assert abs(est - law.variance) < 5 * se
+
+
+def _quadratic_form(weights, rho):
+    # w' Omega w at 60 digits as the lag sum (sum_j w_j^2 + 2 sum_j w_j u_j)
+    # / (1 - rho^2), with u_j = sum_{k>j} rho^(k-j) w_k = rho (w_{j+1} + u_{j+1})
+    with mpmath.workdps(60):
+        r = mpmath.mpf(rho)
+        w = [mpmath.mpf(x) for x in weights]
+        u, terms = mpmath.mpf(0), []
+        for j in range(len(w) - 1, -1, -1):
+            terms.append(w[j] * (w[j] + 2 * u))
+            u = r * (w[j] + u)
+        return mpmath.fsum(terms) / (1 - r * r)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 200, 1000])
+@pytest.mark.parametrize("rho", [0.0, 0.5, -0.5, 0.99, -0.99, 0.999999, 1 - 1e-9, -(1 - 1e-9)])
+def test_linear_combination_law_against_mpmath(n, rho):
+    p = Ar1Params(mu=0.0, sigma=1.0, rho=rho, n=n)
+    for w in (np.full(n, 1.0 / n), stream_generator(31, n).standard_normal(n)):
+        want = _quadratic_form(w, rho)
+        got = linear_combination_law(p, w).variance
+        assert abs(mpmath.mpf(got) - want) <= 1e-14 * want, (n, rho)
+
+
+def test_normal_law_cdf():
+    law = NormalLaw(mean=1.0, variance=4.0)
+    assert law.cdf(1.0) == 0.5 and isinstance(law.cdf(1.0), float)
+    x = np.array([[-3.0, 1.0], [3.0, 5.0]])
+    want = [[0.5 * (1.0 + math.erf((v - 1.0) / (2.0 * math.sqrt(2.0)))) for v in row] for row in x]
+    assert law.cdf(x).tolist() == want
+
+
+def test_normal_law_cdf_of_zero_weights_is_the_step():
+    # all weights zero: a point mass at 0, whose cdf is right-continuous
+    p = Ar1Params(mu=3.0, sigma=2.0, rho=0.7, n=4)
+    law = linear_combination_law(p, np.zeros(4))
+    assert (law.mean, law.variance) == (0.0, 0.0)
+    assert law.cdf(np.array([-1e-300, 0.0, 1e-300, np.nan])).tolist()[:3] == [0.0, 1.0, 1.0]
+    assert math.isnan(law.cdf(np.nan)) and law.cdf(-0.5) == 0.0 and law.cdf(0.0) == 1.0
 
 
 @pytest.mark.parametrize(

@@ -146,6 +146,24 @@ def test_whiten_rejects_an_empty_last_axis(values):
         whiten(values, 0.5)
 
 
+@pytest.mark.parametrize(
+    "rho, error, message",
+    [
+        (1.5, ValueError, "stationarity requires"),
+        (-1.0, ValueError, "stationarity requires"),
+        (math.nan, ValueError, "rho must be finite"),
+        (math.inf, ValueError, "rho must be finite"),
+        ("0.5", TypeError, "rho must be a real number"),
+    ],
+)
+def test_whiten_checks_rho_before_it_writes(rho, error, message):
+    # the rule of Ar1Params, checked before the caller's array is touched
+    x = np.arange(1.0, 6.0)
+    with pytest.raises(error, match=message):
+        whiten(x, rho, out=x)
+    assert np.array_equal(x, np.arange(1.0, 6.0))
+
+
 def test_row_statistics_overwrites_its_rows_keeping_bits():
     # the kernel forms the squared deviations in the rows it is given
     x = stream_generator(14, 0).standard_normal((6, 9)) + 3.0
