@@ -165,7 +165,9 @@ def _environment(config: SimulationConfig | None) -> dict:
 
 def _resource_usage() -> dict:
     """Peak RSS and minor page faults of this process and of its reaped
-    children (pool workers); None where the platform lacks ``resource``."""
+    children (pool workers); None where the platform lacks ``resource``.
+    On Linux ``ru_maxrss`` carries the launcher's RSS from the fork across
+    exec, so a run started from a large process reads at least its size."""
     if resource is None:
         return {"peak_rss_mb": None, "minor_faults": None}
     scale = 2**20 if sys.platform == "darwin" else 2**10  # ru_maxrss: bytes or KiB

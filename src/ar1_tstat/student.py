@@ -7,9 +7,8 @@ routes share no special-function machinery for the quantity under test;
 their agreement is a genuine cross-check, exercised at 1e-8 relative in
 tests. The module needs numpy only.
 
-Both the cdf and the gamma-kernel integral sum Gauss-Legendre panels
-(_panel_integrals). Their nodes are laid out node-major, 24 rows of all
-panels, so every vector operation runs along the long panel axis.
+Both the cdf and the gamma-kernel integral sum Gauss-Legendre panels 4,096
+at a time in one reused panel-major node buffer (_panel_integrals).
 """
 
 from __future__ import annotations
@@ -72,10 +71,9 @@ def _panel_integrals(func, edges: np.ndarray, out: np.ndarray | None = None) -> 
 
     The panels are evaluated _PANEL_CHUNK (4,096) at a time into one result
     array (out, when given), so memory is bounded in the number of panels.
-    The nodes are built node-major, (24, panels), so each vector step runs
-    along the panels; one transposed copy puts func's values back in
-    (panels, 24) rows for the weight product. Each panel's arithmetic is
-    that of a single row-major pass over all of them, bit for bit.
+    Each chunk's nodes are built panel-major, (panels, 24), in one node
+    buffer allocated once per call, and func's values go straight to the
+    weight product, with the bits of a single pass over all panels.
 
     The chunks run last first, so out may be edges[1:]: a chunk writes only
     edges above its own lower edge, which no lower chunk reads. The chunk
@@ -85,14 +83,14 @@ def _panel_integrals(func, edges: np.ndarray, out: np.ndarray | None = None) -> 
     count = edges.size - 1
     if out is None:
         out = np.empty(count)
+    nodes = np.empty((min(count, _PANEL_CHUNK), _GL_NODES.size))
     for start in reversed(range(0, count, _PANEL_CHUNK)):
         stop = min(start + _PANEL_CHUNK, count)
         lo, hi = edges[start:stop], edges[start + 1 : stop + 1]
         half_width = 0.5 * (hi - lo)
-        nodes = _GL_NODES[:, None] * half_width
-        nodes += 0.5 * (lo + hi)
-        values = func(nodes).T.copy()
-        np.multiply(values @ _GL_WEIGHTS, half_width, out=out[start:stop])
+        chunk = np.multiply(half_width[:, None], _GL_NODES, out=nodes[: stop - start])
+        chunk += (0.5 * (lo + hi))[:, None]
+        np.multiply(func(chunk) @ _GL_WEIGHTS, half_width, out=out[start:stop])
     return out
 
 
@@ -208,8 +206,8 @@ class StudentLaw:
         argument adds panel edges only at or above every other one, so it
         cannot change any other argument's prefix sum. The panels are
         evaluated in chunks of 4,096 (_panel_integrals), so memory grows
-        neither with |t| nor beyond about two and a half arrays of the
-        argument's size with the number of arguments. The bounds at
+        neither with |t| nor beyond about 2.2 arrays of the argument's size
+        with the number of arguments. The bounds at
         _TAIL_SPLIT assume density_closed exact; its log-gamma normalisation
         is 2e-13 off at dof 999.
 
@@ -227,7 +225,9 @@ class StudentLaw:
         tail = np.flatnonzero(mag > _TAIL_SPLIT)
         tail_mag = mag[tail]
         np.minimum(mag, _TAIL_SPLIT, out=mag)
-        out = self._head_cdf(mag, flat < 0.0)
+        out = self._head_cdf(mag)
+        np.copysign(out, flat, out=out)  # -half + 0.5 is 0.5 - half, bit for bit
+        out += 0.5
         if tail.size:  # _tail_mass needs at least one argument
             sf = self._tail_mass(tail_mag)
             out[tail] = np.where(flat[tail] >= 0.0, 1.0 - sf, sf)
@@ -235,8 +235,8 @@ class StudentLaw:
         out = out.reshape(ts.shape)
         return out if out.ndim else float(out)
 
-    def _head_cdf(self, mag: np.ndarray, negative: np.ndarray) -> np.ndarray:
-        """The cdf at arguments of magnitude mag <= _TAIL_SPLIT; negative marks those below 0.
+    def _head_cdf(self, mag: np.ndarray) -> np.ndarray:
+        """The mass between 0 and each magnitude mag <= _TAIL_SPLIT.
 
         Works in two argument-sized buffers, mag and the panel edges, and
         returns mag overwritten with the result. The edges (the ladder and
@@ -266,9 +266,6 @@ class StudentLaw:
         np.cumsum(edges[1:], out=edges[1:])
         for chunk in chunks:
             np.take(edges, chunk.astype(np.intp), out=chunk)
-        # 0.5 - half is 0.5 + (-half), bit for bit
-        np.negative(mag, out=mag, where=negative)
-        mag += 0.5
         return mag
 
     def _tail_mass(self, mag: np.ndarray) -> np.ndarray:

@@ -306,18 +306,29 @@ def _ks_sample():
 
 
 def test_cdf_peak_at_a_million_sorted_arguments():
-    # the head holds the clipped magnitudes and one edges buffer, 2.53
+    # the head holds the clipped magnitudes and one edges buffer, 2.21
     # arguments' worth at its peak. With np.unique, full-size mid/half_width
     # arrays and out-of-place signs, sums and clipping the peak here was
     # 71.6 MB; with the deduplicated copy, the index array and the gathered
-    # result beside the edges, 30.2 MB (3.95 arrays)
+    # result beside the edges, 30.2 MB (3.95 arrays); with node-major nodes,
+    # their transposed density copy and a sign mask, 2.53 arrays
     t = _ks_sample()
-    assert _traced_peak(StudentLaw(9.0).cdf, t) < 2.75 * t.nbytes
+    assert _traced_peak(StudentLaw(9.0).cdf, t) < 2.35 * t.nbytes
 
 
 def test_cdf_peak_at_a_million_permuted_arguments():
+    # 2.21 arrays, and 2.53 with the transposed copy and the sign mask
     t = np.random.default_rng(2718).permutation(_ks_sample())
-    assert _traced_peak(StudentLaw(9.0).cdf, t) < 2.75 * t.nbytes
+    assert _traced_peak(StudentLaw(9.0).cdf, t) < 2.35 * t.nbytes
+
+
+def test_cdf_peak_at_the_long_paths_ks_size():
+    # 16,384 values, as the mc-long-paths KS: the chunk temporaries dominate.
+    # One node buffer and the density's values make 2.42 chunk arrays
+    # (1.90 MB); per-chunk node arrays and a transposed copy of the density
+    # made 4.40 (3.46 MB, 26 times the input)
+    t = np.sort(np.random.default_rng(999).standard_t(999.0, 16_384))
+    assert _traced_peak(StudentLaw(999.0).cdf, t) < 2.75 * 24 * _PANEL_CHUNK * 8
 
 
 def _sorted_edges(t):
@@ -429,13 +440,17 @@ def test_chunked_panels_match_one_shot(panels):
     calls = []
 
     def density(nodes):
-        calls.append(nodes.shape[-1])  # nodes are (24, panels), node-major
+        calls.append(nodes)  # nodes are (panels, 24), panel-major
         return law.density_closed(nodes)
 
     chunked = _panel_integrals(density, edges)
     # the last chunk first, so out may be edges[1:]
     starts = reversed(range(0, panels, _PANEL_CHUNK))
-    assert calls == [min(_PANEL_CHUNK, panels - start) for start in starts]
+    assert [nodes.shape[0] for nodes in calls] == [
+        min(_PANEL_CHUNK, panels - start) for start in starts
+    ]
+    # every chunk's nodes sit in the node buffer the first chunk used
+    assert all(np.shares_memory(nodes, calls[0]) for nodes in calls)
     assert np.array_equal(chunked, _one_shot_panels(law.density_closed, edges))
     shared = edges.copy()
     _panel_integrals(law.density_closed, shared, out=shared[1:])
