@@ -26,6 +26,12 @@ __all__ = [
 ]
 
 
+def _lag_powers(n: int, rho: float) -> np.ndarray:
+    """The n x n matrix of rho^|i-j|: n powers, gathered by lag."""
+    idx = np.arange(n)
+    return (rho ** idx)[np.abs(idx[:, None] - idx[None, :])]
+
+
 def covariance_matrix(params: Ar1Params) -> np.ndarray:
     """Symmetric Toeplitz matrix with entries rho^|i-j| / (1 - rho^2).
 
@@ -36,9 +42,7 @@ def covariance_matrix(params: Ar1Params) -> np.ndarray:
     numpy.ndarray
         Positive definite matrix of shape (n, n).
     """
-    idx = np.arange(params.n)
-    lags = np.abs(idx[:, None] - idx[None, :])
-    return params.rho**lags / (1.0 - params.rho**2)
+    return _lag_powers(params.n, params.rho) / (1.0 - params.rho**2)
 
 
 def covariance_cholesky(params: Ar1Params) -> np.ndarray:
@@ -48,10 +52,8 @@ def covariance_cholesky(params: Ar1Params) -> np.ndarray:
     holds rho^(i-j) on and below the diagonal. Entries above the diagonal
     are exact zeros.
     """
-    n, rho = params.n, params.rho
-    idx = np.arange(n)
-    diff = idx[:, None] - idx[None, :]
-    factor = np.where(diff >= 0, rho ** np.maximum(diff, 0), 0.0)
+    rho = params.rho
+    factor = np.tril(_lag_powers(params.n, rho))
     factor[:, 0] /= math.sqrt(1.0 - rho * rho)
     return factor
 

@@ -1,20 +1,20 @@
 """Replication engine with counter-based streams and distribution-free checks.
 
 Replications are organized in fixed blocks of BLOCK_SIZE paths. Block b is
-drawn from the Philox stream with jump index b, whatever the worker count,
-so the full value array is a pure function of (params, seed, replications,
-functional): workers change wall time only, never bits. Row r of block b
-is replication b * BLOCK_SIZE + r, and simulate_path(params, seed,
-stream=b) reproduces the path of row 0 of block b exactly, which makes any
-single replication auditable in isolation (the README states which
-single-path call gives each functional's value).
+drawn from Philox stream b, keyed by the seed and started at counter
+b * 2**128, whatever the worker count, so the full value array is a pure
+function of (params, seed, replications, functional): workers change wall
+time only, never bits. Row r of block b is replication b * BLOCK_SIZE + r,
+and simulate_path(params, seed, stream=b) reproduces the path of row 0 of
+block b exactly, which makes any single replication auditable in isolation
+(the README states which single-path call gives each functional's value).
 
 Each block is streamed through row tiles of about TILE_NORMALS normals.
 A worker holds one tile buffer, the time-major (n, rows) lanes, and a draw
-stage of at most TILE_NORMALS // 8 normals, and reuses both for all its
-blocks, so memory is bounded by one tile, not by BLOCK_SIZE x n. Philox is
-counter-based, so drawing a block stage by stage yields the same normals
-as one draw of the block. Each stage slice is copied into the lanes'
+stage of at most TILE_NORMALS // 64 normals (64 KB), and reuses both for
+all its blocks, so memory is bounded by one tile, not by BLOCK_SIZE x n.
+Philox is counter-based, so drawing a block stage by stage yields the same
+normals as one draw of the block. Each stage slice is copied into the lanes'
 (rows, n) view paths, where the recursion and whitening (out=paths) and
 the statistic kernel run in place along the long rows axis; the kernel
 sums in numpy's pairwise order, so every value has the bits of a
@@ -42,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import Ar1Params, Functional, integer, philox_seed
-from .process import _own_or_copy, _scaled, paths_from_normals, stream_generator
+from .params import Ar1Params, Functional, _own_or_copy, integer, philox_seed
+from .process import _scaled, paths_from_normals, stream_generator
 from .tstat import row_means, row_statistics, whiten
 
 __all__ = [
@@ -62,8 +62,9 @@ __all__ = [
 
 BLOCK_SIZE = 4096  # replications per stream; fixed so results never depend on workers
 # normals per tile (4 MB): rows per tile are about TILE_NORMALS / n. At
-# n = 1000, 2**20 runs about 7% faster per normal at twice the memory, and
-# 2**18 saves no peak RSS and runs slower (BENCH_scale_free.json)
+# n = 1000, 2**20 runs about 7% faster per normal at twice the memory
+# (BENCH_scale_free.json), and 2**18 lowers the mc-long-paths peak RSS by
+# 2 MB for about 10% more wall and CPU time (BENCH_lean_workers.json)
 TILE_NORMALS = 2**19
 
 
@@ -127,14 +128,16 @@ def _path_tiles(params: Ar1Params, seed: int, blocks: list[tuple[int, int]]):
     Yields (offset, paths): offset is the tile's first row counted from the
     start of the first block, and paths an (m, n) view of the tile's
     time-major (n, m) lanes. A tile is drawn through a stage of at most
-    TILE_NORMALS // 8 normals (one row if n is larger, never more than the
+    TILE_NORMALS // 64 normals (one row if n is larger, never more than the
     tile), each slice copied transposed into its columns of the lanes; the
     unit recursion then runs in the lanes in place. Every tile reuses the
     same lanes, so paths are valid only until the next tile.
     """
     n = params.n
     tile_rows = min(BLOCK_SIZE, max(1, TILE_NORMALS // n))
-    stage_rows = min(tile_rows, max(1, TILE_NORMALS // 8 // n))
+    # a stage of TILE_NORMALS // 64 normals (64 KB) draws as fast as one of
+    # TILE_NORMALS // 8 (512 KB), which every pool worker would hold
+    stage_rows = min(tile_rows, max(1, TILE_NORMALS // 64 // n))
     stage = np.empty(stage_rows * n)
     lanes = np.empty(tile_rows * n)
     offset = 0

@@ -40,6 +40,19 @@ def philox_seed(value) -> int:
     return seed
 
 
+def _own_or_copy(array, out, name: str):
+    """The buffer contract of the Monte Carlo tile and its readouts: out=None
+    gives a float64 copy of array, out=array (a float64 ndarray) array
+    itself; any other out raises ValueError naming the caller's argument."""
+    import numpy as np  # here, so that the parameters alone load no numpy
+
+    if out is None:
+        return np.array(array, dtype=float)
+    if out is array and isinstance(out, np.ndarray) and out.dtype == np.float64:
+        return out
+    raise ValueError(f"out must be None or {name} itself, a float64 array")
+
+
 def stationary_rho(value) -> float:
     """value as an AR(1) coefficient: a finite real, |rho| <= 1 - STATIONARITY_MARGIN."""
     rho = real("rho", value)

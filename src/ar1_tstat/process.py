@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import Ar1Params, integer, philox_seed
+from .params import Ar1Params, _own_or_copy, integer, philox_seed
 
 __all__ = [
     "NormalLaw",
@@ -84,23 +84,15 @@ def stream_generator(seed: int, stream: int) -> np.random.Generator:
     """Counter-based generator for the (seed, stream) pair.
 
     Philox is counter-based, so the pair fully determines the draws, with
-    no dependence on how many other streams exist or on scheduling.
+    no dependence on how many other streams exist or on scheduling. Stream
+    s is Philox keyed by the seed and started at counter s * 2**128, the
+    state of Philox(key=seed).jumped(s). The 256-bit counter would wrap at
+    stream 2**128 and repeat stream 0, so streams of 2**128 or more raise.
     """
     seed, stream = philox_seed(seed), integer("stream", stream)
-    if stream < 0:
-        raise ValueError(f"stream must be nonnegative, got {stream}")
-    return np.random.Generator(np.random.Philox(key=seed).jumped(stream))
-
-
-def _own_or_copy(array, out, name: str) -> np.ndarray:
-    """The buffer contract of the Monte Carlo tile: out=None gives a float64
-    copy of array, out=array (a float64 ndarray) array itself; any other out
-    raises ValueError naming the caller's argument."""
-    if out is None:
-        return np.array(array, dtype=float)
-    if out is array and isinstance(out, np.ndarray) and out.dtype == np.float64:
-        return out
-    raise ValueError(f"out must be None or {name} itself, a float64 array")
+    if not 0 <= stream < 2**128:
+        raise ValueError(f"stream must lie in [0, 2**128), got {stream}")
+    return np.random.Generator(np.random.Philox(key=seed, counter=stream << 128))
 
 
 def paths_from_normals(
@@ -139,9 +131,9 @@ def paths_from_normals(
     # differently and would move every pinned bit
     lanes[0] *= 1.0 / math.sqrt(1.0 - rho * rho)
     step = np.empty(lanes.shape[1:])
-    for t in range(1, n):
-        np.multiply(lanes[t - 1], rho, out=step)
-        lanes[t] += step
+    for prev, row in zip(lanes, lanes[1:]):  # views of steps t - 1 and t
+        np.multiply(prev, rho, out=step)
+        np.add(row, step, out=row)
     return x
 
 

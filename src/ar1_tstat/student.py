@@ -8,7 +8,9 @@ their agreement is a genuine cross-check, exercised at 1e-8 relative in
 tests. The module needs numpy only.
 
 Both the cdf and the gamma-kernel integral sum Gauss-Legendre panels 4,096
-at a time in one reused panel-major node buffer (_panel_integrals).
+at a time in one reused panel-major node buffer (_panel_integrals), and
+the cdf writes its density over that buffer. The 24-point rule is a
+literal table, so importing the module runs no eigen-solve.
 """
 
 from __future__ import annotations
@@ -18,12 +20,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import real
+from .params import _own_or_copy, real
 
 __all__ = ["StudentLaw", "QuadratureError"]
 
-# Gauss-Legendre rule of the cdf panels (at most 0.5 wide in t, 1 wide in y)
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+# Gauss-Legendre rule of the cdf panels (at most 0.5 wide in t, 1 wide in y):
+# the 24 nodes and weights of numpy.polynomial.legendre.leggauss(24) bit for
+# bit, written out so that no import runs its eigen-solve and no bit depends
+# on the host's LAPACK. The rule is symmetric, so its 12 positive nodes and
+# their weights give all 24.
+_GL_HALF = np.array(
+    [
+        [float.fromhex(node), float.fromhex(weight)]
+        for node, weight in (
+            ("0x1.0660853eda2e8p-4", "0x1.060475e763731p-3"),
+            ("0x1.8769542b94f8dp-3", "0x1.01b7117cf8bd6p-3"),
+            ("0x1.429a8c588e910p-2", "0x1.f25cbce1d1fefp-4"),
+            ("0x1.bc345d81e24b5p-2", "0x1.d91c78acb1b27p-4"),
+            ("0x1.17417bac4d72bp-1", "0x1.b8177ba4a68d7p-4"),
+            ("0x1.4bd2ee5fa1086p-1", "0x1.8fd8936444b19p-4"),
+            ("0x1.7af18edb9ddd6p-1", "0x1.6108ef5044635p-4"),
+            ("0x1.a3d74ce0d3700p-1", "0x1.2c6d5c2eff05ap-4"),
+            ("0x1.c5d841864d0f5p-1", "0x1.e5c6255d25e9dp-5"),
+            ("0x1.e06585a70aa4dp-1", "0x1.6ab884f57c940p-5"),
+            ("0x1.f30f9f0cbf876p-1", "0x1.d375514486effp-6"),
+            ("0x1.fd892de691982p-1", "0x1.9465bd311255dp-7"),
+        )
+    ]
+)
+_GL_NODES = np.concatenate((-_GL_HALF[::-1, 0], _GL_HALF[:, 0]))
+_GL_WEIGHTS = np.concatenate((_GL_HALF[::-1, 1], _GL_HALF[:, 1]))
 _PANEL_WIDTH = 0.5
 # panels evaluated per chunk: 4,096 x 24 nodes are 0.8 MB, so the density's
 # temporaries stay small however many panels a cdf call needs
@@ -72,7 +98,8 @@ def _panel_integrals(func, edges: np.ndarray, out: np.ndarray | None = None) -> 
     The panels are evaluated _PANEL_CHUNK (4,096) at a time into one result
     array (out, when given), so memory is bounded in the number of panels.
     Each chunk's nodes are built panel-major, (panels, 24), in one node
-    buffer allocated once per call, and func's values go straight to the
+    buffer allocated once per call, which func may overwrite with its
+    values (the cdf's density does), and func's values go straight to the
     weight product, with the bits of a single pass over all panels.
 
     The chunks run last first, so out may be edges[1:]: a chunk writes only
@@ -113,7 +140,7 @@ class StudentLaw:
 
     # -- density -----------------------------------------------------------
 
-    def density_closed(self, t):
+    def density_closed(self, t, *, out: np.ndarray | None = None):
         """Gamma-ratio closed form of the density, vectorized in t.
 
         log f(t) = lgamma((k+1)/2) - lgamma(k/2) - log(pi k)/2
@@ -121,9 +148,23 @@ class StudentLaw:
 
         The log-gamma difference keeps the normalizing ratio finite for
         large k (the direct gamma ratio overflows near k ~ 350).
+
+        out takes the Monte Carlo tile's buffer contract: None forms the
+        density in a float64 copy of t; t itself, a float64 array, has it
+        written over t. Where some t^2/k overflows, or t holds a NaN, the
+        density is formed in a copy first, since that branch reads t.
+        Either gives the same bits; any other out raises ValueError.
         """
         k = self.dof
-        t = np.asarray(t, dtype=float)
+        dens = _own_or_copy(t, out, "t")  # a float64 copy of t, or t itself
+        values = np.asarray(t, dtype=float)
+        if dens is values:
+            # in place only where the largest t^2/k, read from the extremes
+            # with no temporary, is finite (a NaN is not): the overflow
+            # branch below reads t
+            hi, lo = float(values.max(initial=0.0)), float(values.min(initial=0.0))
+            if not max(hi * hi, lo * lo) / k < math.inf:
+                dens = values.copy()
         log_norm = (
             math.lgamma((k + 1.0) / 2.0)
             - math.lgamma(k / 2.0)
@@ -131,17 +172,20 @@ class StudentLaw:
         )
         # exp(log_norm - (k+1)/2 log1p(t^2/k)), formed in one buffer
         with np.errstate(over="ignore"):
-            out = np.multiply(t, t, out=np.empty(t.shape))
-            out /= k
-        np.log1p(out, out=out)
-        if not out.max(initial=0.0) < math.inf:  # t^2/k overflowed, or t holds a NaN
+            dens *= dens
+            dens /= k
+        np.log1p(dens, out=dens)
+        if not dens.max(initial=0.0) < math.inf:  # t^2/k overflowed, or t holds a NaN
             # there log1p(t^2/k) is 2 log|t| - log k to double precision
-            past = np.isinf(out)
-            out[past] = 2.0 * np.log(np.abs(t[past])) - math.log(k)
-        out *= -((k + 1.0) / 2.0)
-        out += log_norm
-        np.exp(out, out=out)
-        return out if out.ndim else float(out)
+            past = np.isinf(dens)
+            dens[past] = 2.0 * np.log(np.abs(values[past])) - math.log(k)
+        dens *= -((k + 1.0) / 2.0)
+        dens += log_norm
+        np.exp(dens, out=dens)
+        if out is not None and dens is not out:
+            out[...] = dens
+            dens = out
+        return dens if dens.ndim else float(dens)
 
     def density_integral(self, t):
         """The density via Gauss-Legendre panels over the scale-mixture integral.
@@ -206,7 +250,7 @@ class StudentLaw:
         argument adds panel edges only at or above every other one, so it
         cannot change any other argument's prefix sum. The panels are
         evaluated in chunks of 4,096 (_panel_integrals), so memory grows
-        neither with |t| nor beyond about 2.2 arrays of the argument's size
+        neither with |t| nor beyond about 2.1 arrays of the argument's size
         with the number of arguments. The bounds at
         _TAIL_SPLIT assume density_closed exact; its log-gamma normalisation
         is 2e-13 off at dof 999.
@@ -261,7 +305,7 @@ class StudentLaw:
         chunks = [mag[i : i + _PANEL_CHUNK] for i in range(0, mag.size, _PANEL_CHUNK)]
         for chunk in chunks:
             chunk[...] = np.searchsorted(edges, chunk)
-        _panel_integrals(self.density_closed, edges, out=edges[1:])
+        _panel_integrals(lambda t: self.density_closed(t, out=t), edges, out=edges[1:])
         edges[0] = 0.0
         np.cumsum(edges[1:], out=edges[1:])
         for chunk in chunks:

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import Ar1Params, Functional, stationary_rho
-from .process import _own_or_copy
+from .params import Ar1Params, Functional, _own_or_copy, stationary_rho
 
 __all__ = [
     "TStatResult",

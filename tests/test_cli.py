@@ -930,8 +930,10 @@ def test_each_command_loads_only_its_modules(tmp_path, argv, loaded, absent):
     assert rc == 0
     assert {f"ar1_tstat.{name}" for name in loaded} <= modules
     assert not {f"ar1_tstat.{name}" for name in absent} & modules
-    # only a run whose pool starts imports concurrent.futures
+    # only a run whose pool starts imports concurrent.futures, and the
+    # Gauss-Legendre table is a literal: no command runs leggauss
     assert "concurrent.futures" not in modules
+    assert "numpy.polynomial" not in modules
 
 
 def test_only_a_pool_run_loads_concurrent_futures(tmp_path):

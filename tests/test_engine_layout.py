@@ -57,21 +57,21 @@ def _assert_row_major_bits(params, blocks):
 def test_time_major_tiles_equal_row_major_reference(monkeypatch, n, tile_normals):
     # with 3,001 normals per tile, tiles hold from 1,500 rows (n=2) down to
     # 3 (n=1000) and never divide a block; they are drawn through stages of
-    # 375 normals, 187 rows at n=2, which do not divide the tile either
+    # 46 normals, 23 rows at n=2, which do not divide the tile either
     monkeypatch.setattr(montecarlo, "TILE_NORMALS", tile_normals)
     params = Ar1Params(mu=0.3, sigma=1.3, rho=0.8, n=n)
     blocks = [(0, montecarlo.BLOCK_SIZE), (1, 300)] if n <= 10 else [(0, 200), (3, 100)]
     _assert_row_major_bits(params, blocks)
 
 
-@pytest.mark.parametrize("tile_normals", [montecarlo.TILE_NORMALS, 2**20, 15 * 3001])
+@pytest.mark.parametrize("tile_normals", [montecarlo.TILE_NORMALS, 2**20, 15 * 3017])
 def test_staged_draws_equal_row_major_reference(monkeypatch, tile_normals):
-    # at n=3001 the default 174-row tile is drawn in 21-row stages and a
-    # 349-row tile of 2^20 normals in 43-row stages, neither of which divides
-    # its tile; 15 x 3001 normals per tile give 15-row tiles drawn through a
+    # at n=3017 the default 173-row tile is drawn in 2-row stages and a
+    # 347-row tile of 2^20 normals in 5-row stages, neither of which divides
+    # its tile; 15 x 3017 normals per tile give 15-row tiles drawn through a
     # 1-row stage
     monkeypatch.setattr(montecarlo, "TILE_NORMALS", tile_normals)
-    _assert_row_major_bits(Ar1Params(mu=0.3, sigma=1.3, rho=0.8, n=3001), [(0, 360), (3, 12)])
+    _assert_row_major_bits(Ar1Params(mu=0.3, sigma=1.3, rho=0.8, n=3017), [(0, 360), (3, 12)])
 
 
 class _RecordedStream:
@@ -86,8 +86,8 @@ class _RecordedStream:
 
 
 def test_tiles_stay_time_major(monkeypatch):
-    # a tile is drawn through a small stage, never into a second tile-sized
-    # buffer: at n=1000, 65-row stage slices fill two 524-row tiles and
+    # a tile is drawn through a 64 KB stage, never into a second tile-sized
+    # buffer: at n=1000, 8-row stage slices fill two 524-row tiles and
     # then a 52-row one; at n=10, one stage slice is the whole tile
     stages = []
     monkeypatch.setattr(
@@ -103,7 +103,7 @@ def test_tiles_stay_time_major(monkeypatch):
             starts.add(paths.__array_interface__["data"][0])
             assert stages
             for stage in stages:
-                assert stage.size <= montecarlo.TILE_NORMALS // 8
+                assert stage.size <= montecarlo.TILE_NORMALS // 64
                 assert not np.may_share_memory(stage, paths)
             stages.clear()
         assert len(starts) == 1  # every tile reuses the same lanes

@@ -107,3 +107,26 @@ def test_sigma_scaling_is_applied_outside():
     p1 = _params(5, 0.5)
     p2 = Ar1Params(mu=0.0, sigma=3.0, rho=0.5, n=5)
     assert np.array_equal(covariance_matrix(p1), covariance_matrix(p2))
+
+
+# 14 values of rho: the stationary edges, 1e-300, whose powers underflow,
+# and the subnormal -1e-310, whose odd powers underflow to -0.0
+_BITS_RHO = [
+    0.0, 1e-300, -1e-310, 1e-5, 0.3, -0.123456789, 0.5, -0.5, 0.7, 0.9, -0.95,
+    0.999999, 1.0 - 1e-9, -(1.0 - 1e-9),
+]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 10, 50, 200, 257, 1000])
+def test_builders_have_the_bits_of_elementwise_lag_powers(n):
+    # the builders take n powers and gather them by lag; rho ** lags takes
+    # n^2, one per entry, with the same bits
+    idx = np.arange(n)
+    lags = np.abs(idx[:, None] - idx[None, :])
+    for rho in _BITS_RHO:
+        params = _params(n, rho)
+        covariance = rho**lags / (1.0 - rho**2)
+        factor = np.where(lags == idx[:, None] - idx[None, :], rho**lags, 0.0)
+        factor[:, 0] /= np.sqrt(1.0 - rho * rho)
+        assert covariance_matrix(params).tobytes() == covariance.tobytes(), rho
+        assert covariance_cholesky(params).tobytes() == factor.tobytes(), rho

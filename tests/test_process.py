@@ -37,6 +37,40 @@ def test_stream_bounds_checked():
         stream_generator(0, -1)
 
 
+def _state_items(bit_generator):
+    # a Philox state as comparable items: its counter and key are arrays
+    state = bit_generator.state
+    inner = {name: value.tolist() for name, value in state.pop("state").items()}
+    return {**state, "buffer": state["buffer"].tolist(), "state": inner}
+
+
+@pytest.mark.parametrize(
+    "stream",
+    [0, 1, 4095, 2**64 - 1, 2**64, 2**70 + 3, 2**128 - 1],
+    ids=["0", "1", "4095", "2**64-1", "2**64", "2**70+3", "2**128-1"],
+)
+def test_stream_starts_where_philox_jumps_to(stream):
+    # stream s is Philox at counter s * 2**128: the state and draws of
+    # Philox(key=seed).jumped(s), without the throwaway generator it seeds
+    jumped = np.random.Philox(key=314).jumped(stream)
+    rng = stream_generator(314, stream)
+    assert _state_items(rng.bit_generator) == _state_items(jumped)
+    want = np.random.Generator(jumped).standard_normal(10_007)
+    assert rng.standard_normal(10_007).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "stream", [2**128, 2**128 + 7, 2**200], ids=["2**128", "2**128+7", "2**200"]
+)
+def test_streams_past_the_counter_range_are_rejected(stream):
+    # the 256-bit counter wraps there: stream 2**128 would repeat stream 0
+    params = Ar1Params(mu=0.0, sigma=1.0, rho=0.5, n=4)
+    with pytest.raises(ValueError, match="stream"):
+        stream_generator(314, stream)
+    with pytest.raises(ValueError, match="stream"):
+        simulate_path(params, 314, stream)
+
+
 @pytest.mark.parametrize("seed, stream", [(3.7, 0), (3, 1.9), (True, 0), (3, np.True_), ("3", 0)])
 def test_non_integer_seed_or_stream_rejected(seed, stream):
     # a float is refused, never truncated to another seed's stream
