@@ -283,6 +283,14 @@ def _reference_cdf(functional: Functional, params: Ar1Params):
     return StudentLaw(params.n - 1).cdf, f"student-t({params.n - 1})"
 
 
+# the density flags that only simulation mode reads
+_SIMULATION_ONLY = ("n", "rho", "mu", "sigma", "reps", "seed", "workers", "bandwidth")
+# an unset --mu, --sigma, --workers. density's parser leaves them None, so
+# that law mode can tell a set flag; simulate's parser fills them in, so a
+# parsed simulate command reads as it always has (bench/spans.py uses one)
+_SIMULATION_DEFAULTS = {"mu": 0.0, "sigma": 1.0, "workers": 1}
+
+
 def _simulation(args) -> tuple[SimulationConfig, Functional]:
     """The run and the functional named by the model and run flags."""
     missing = [f"--{flag}" for flag in ("n", "rho", "reps", "seed") if getattr(args, flag) is None]
@@ -290,8 +298,12 @@ def _simulation(args) -> tuple[SimulationConfig, Functional]:
         raise ValueError(f"a simulation needs {', '.join(missing)}")
     from .montecarlo import SimulationConfig
 
-    params = Ar1Params(mu=args.mu, sigma=args.sigma, rho=args.rho, n=args.n)
-    config = SimulationConfig(params, replications=args.reps, seed=args.seed, workers=args.workers)
+    mu, sigma, workers = (
+        default if getattr(args, flag) is None else getattr(args, flag)
+        for flag, default in _SIMULATION_DEFAULTS.items()
+    )
+    params = Ar1Params(mu=mu, sigma=sigma, rho=args.rho, n=args.n)
+    config = SimulationConfig(params, replications=args.reps, seed=args.seed, workers=workers)
     return config, Functional(args.functional)
 
 
@@ -359,6 +371,9 @@ def cmd_density(args, phases):
     grid = np.asarray(_parse_grid(args.grid_t), dtype=float)
     config = None
     if args.dof is not None:
+        unread = [f"--{flag}" for flag in _SIMULATION_ONLY if getattr(args, flag) is not None]
+        if unread:
+            raise ValueError(f"--dof reads only --grid-t and --out, not {', '.join(unread)}")
         with _phase(phases, "import"):
             from .student import StudentLaw
         law = StudentLaw(args.dof)
@@ -389,18 +404,15 @@ def cmd_density(args, phases):
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, help="sample length (>= 2)")
     parser.add_argument("--rho", type=float, help="lag-1 autocorrelation")
-    parser.add_argument("--mu", type=float, default=0.0, help="process mean")
-    parser.add_argument("--sigma", type=float, default=1.0, help="innovation scale")
+    parser.add_argument("--mu", type=float, help="process mean (default 0)")
+    parser.add_argument("--sigma", type=float, help="innovation scale (default 1)")
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--reps", type=int, help="number of replications")
     parser.add_argument("--seed", type=int, help="64-bit stream seed")
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes (default 1; never changes results)",
+        "--workers", type=int, help="worker processes (default 1; never changes results)"
     )
 
 
@@ -448,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--values-out", default=None, help="optional per-replication value dump (CSV)"
     )
     simulate.add_argument("--format", choices=["csv", "json"], default="csv")
-    simulate.set_defaults(handler=cmd_simulate)
+    simulate.set_defaults(handler=cmd_simulate, **_SIMULATION_DEFAULTS)
 
     density = subparsers.add_parser(
         "density", help="dump a Student density (dual route) or a simulated KDE"

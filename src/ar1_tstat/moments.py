@@ -19,8 +19,8 @@ full (n, rho) grid:
   ``variance_of_sample_variance``) collapse to the classical chi-square
   values at rho = 0 but disagree with the oracle for rho != 0 by margins
   far above rounding. They are kept verbatim by design; their reports
-  carry ``discrepant=True`` and the oracle value is authoritative
-  downstream.
+  carry ``discrepant=True``, and ``verify`` lists them among its
+  discrepancies.
 
 Internally everything is evaluated in 80-bit scalars: several expressions
 cancel catastrophically near |rho| = 1 (for instance the mean of the
@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 # A closed form whose relative gap to the trace oracle exceeds this is
-# reported as discrepant and the oracle value wins downstream.
+# reported as discrepant, and verify lists it.
 DISCREPANCY_RTOL = 1e-8
 
 _LD = np.longdouble
@@ -79,6 +79,12 @@ def variance_of_scaled_mean(params: Ar1Params) -> float:
         _LD(n) * (_ONE - rho) ** 2
     )
     return float(sigma**2 / (_ONE - rho**2) * bracket)
+
+
+# sum over j of covariance_with_mean, n Var(sample mean): the same closed
+# form. Out of __all__ and uncalled in the package; bench/spans.py traces
+# the name and tests/test_acceptance.py imports it.
+covariance_with_mean_total = variance_of_scaled_mean
 
 
 def variance_of_scaled_mean_regrouped(params: Ar1Params) -> float:
@@ -108,16 +114,6 @@ def covariance_with_mean(params: Ar1Params, j: int) -> float:
     boundary = rho ** (n + 1 - j) + rho**j
     bracket = (_ONE + rho - boundary) / (_ONE - rho)
     return float(sigma**2 / (_LD(n) * (_ONE - rho**2)) * bracket)
-
-
-def covariance_with_mean_total(params: Ar1Params) -> float:
-    """Sum over j of covariance_with_mean, i.e. n Var(sample mean).
-
-    The closed form of the total coincides with variance_of_scaled_mean,
-    the public name; this one is left out of __all__, has no caller in
-    the package and stays only because bench/spans.py traces it by name.
-    """
-    return variance_of_scaled_mean(params)
 
 
 def covariance_with_mean_square_sum(params: Ar1Params) -> float:
@@ -254,11 +250,6 @@ class MomentReport:
     abs_gap: float
     rel_gap: float
     discrepant: bool
-
-    @property
-    def authoritative(self) -> float:
-        """The value downstream code should trust."""
-        return self.oracle if self.discrepant else self.closed_form
 
 
 def _routes(quantity: MomentQuantity, params: Ar1Params) -> tuple[float, float]:

@@ -176,8 +176,7 @@ def _functional_blocks(
             column = stats[1 if functional is Functional.SAMPLE_VARIANCE else 2]
         values[offset : offset + len(column)] = column
     if functional is Functional.SAMPLE_MEAN:
-        values *= sigma  # mu + sigma ybar
-        values += mu
+        _scaled(params, values)  # mu + sigma ybar
     elif functional is Functional.SAMPLE_VARIANCE:
         values *= sigma * sigma  # inf where sigma^2 overflows
     return values

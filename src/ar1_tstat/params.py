@@ -103,15 +103,6 @@ class Ar1Params:
         if self.n < 2:
             raise ValueError(f"n must be at least 2, got {self.n}")
 
-    @property
-    def marginal_variance(self) -> float:
-        """Variance sigma^2 / (1 - rho^2) of a single observation."""
-        return self.sigma**2 / (1.0 - self.rho**2)
-
-    @property
-    def marginal_std(self) -> float:
-        return math.sqrt(self.marginal_variance)
-
 
 class Functional(enum.Enum):
     """Per-path statistics the Monte Carlo engine can accumulate."""

@@ -149,8 +149,8 @@ def simulate_path(params: Ar1Params, seed: int, stream: int = 0) -> SamplePath:
 
     The values are mu + sigma y, with y the unit path of the stream's draws.
     """
-    rng = stream_generator(seed, stream)
-    unit = paths_from_normals(params, rng.standard_normal(params.n))
+    draw = stream_generator(seed, stream).standard_normal(params.n)
+    unit = paths_from_normals(params, draw, out=draw)
     return SamplePath(_scaled(params, unit), params, int(seed), int(stream))
 
 

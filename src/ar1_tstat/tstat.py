@@ -24,7 +24,6 @@ __all__ = [
     "row_statistics",
     "t_statistic",
     "modified_t_statistic",
-    "noncentrality",
     "whiten",
     "whitened_mean",
 ]
@@ -49,11 +48,6 @@ class TStatResult:
     bessel_variance: float
     kind: Functional
     whitened_mean: float | None = None
-
-
-def noncentrality(params: Ar1Params) -> float:
-    """sqrt(n) mu / sigma, the location offset in innovation units."""
-    return math.sqrt(params.n) * params.mu / params.sigma
 
 
 # bytes of the lagged-step temporary of an in-place whiten

@@ -24,7 +24,7 @@ from ar1_tstat import (
     montecarlo,
     verification,
 )
-from ar1_tstat.cli import _merge_negative_values, _parse_grid, main
+from ar1_tstat.cli import _merge_negative_values, _parse_grid, build_parser, main
 from ar1_tstat.student import QuadratureError, StudentLaw
 
 TABLE_HEADER = (
@@ -352,6 +352,7 @@ def _traced_main(argv) -> tuple[int, int]:
         tracemalloc.stop()
 
 
+@pytest.mark.numpy_floor
 def test_simulate_values_dump_memory(tmp_path):
     # the dump is joined a block of 2**16 values at a time; one string of
     # every line (and a list of every value) peaked at 14.6 sample arrays
@@ -367,6 +368,7 @@ def test_simulate_values_dump_memory(tmp_path):
     assert peak < 7 * 8 * reps
 
 
+@pytest.mark.numpy_floor
 def test_simulate_values_dump_memory_at_a_million(tmp_path):
     # the dump is written in draw order before the KS sorts the values in
     # place; a KS on a copy, kept while the dump needed the order, peaked at
@@ -1011,6 +1013,7 @@ def test_density_simulation_mode(tmp_path):
     assert dens[6] == dens.max()  # peak near zero
 
 
+@pytest.mark.numpy_floor
 def test_density_simulation_mode_memory(tmp_path):
     # the KDE sorts the simulated values in place and computes Silverman's
     # bandwidth on them: a sorted copy and a second finite copy made 4.0 arrays
@@ -1034,6 +1037,49 @@ def test_density_modes_are_exclusive(tmp_path, capsys):
     )
     assert rc == 2
     assert "exactly one" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("n", "10"), ("rho", "0.5"), ("mu", "0"), ("sigma", "1"),
+        ("reps", "5"), ("seed", "1"), ("workers", "1"), ("bandwidth", "0.2"),
+    ],
+)
+def test_density_law_mode_refuses_each_simulation_flag(tmp_path, capsys, flag, value):
+    # law mode reads --dof, --grid-t and --out; a flag it would drop is an
+    # error, also when its value is simulation mode's default
+    out = tmp_path / "x.csv"
+    argv = ["density", "--dof", "9", "--grid-t=-1:1:1", f"--{flag}", value, "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: --dof reads only --grid-t and --out, not --{flag}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_density_law_mode_refuses_config_keys_too(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 3, "workers": 1}))
+    out = tmp_path / "law.csv"
+    law = ["density", "--dof", "9", "--grid-t=-8:8:0.1", "--out", str(out)]
+    assert main(["--config", str(cfg), *law, "--n", "10", "--bandwidth", "0.2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --dof reads only --grid-t and --out, not --n, --seed, --workers, --bandwidth\n"
+    )
+    assert list(tmp_path.iterdir()) == [cfg]
+    # without them, the bench's law-mode run prints its pinned bytes
+    assert main(law) == 0
+    pinned = {output: digest for output, _, digest, _ in PINNED_OUTPUT_DIGESTS}
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == pinned["law.csv"]
+
+
+def test_a_parsed_command_carries_the_defaults_only_simulate_reads():
+    # a parsed simulate command holds numbers (bench/spans.py times a pool run
+    # from one); density leaves them None, so law mode can tell a set flag
+    run = ["--n", "5", "--rho", "0.1", "--reps", "3", "--seed", "1", "--out", "x"]
+    simulate = build_parser().parse_args(["simulate", "--functional", "tstat", *run])
+    density = build_parser().parse_args(["density", "--dof", "3", "--grid-t", "0", "--out", "x"])
+    assert (simulate.mu, simulate.sigma, simulate.workers) == (0.0, 1.0, 1)
+    assert (density.mu, density.sigma, density.workers) == (None, None, None)
 
 
 def test_density_simulation_mode_missing_flags(tmp_path, capsys):
@@ -1131,6 +1177,7 @@ def test_config_value_is_validated_like_a_flag(tmp_path):
 # -- manifest -----------------------------------------------------------------
 
 
+@pytest.mark.numpy_floor
 def test_manifest_records_argv(tmp_path):
     out = tmp_path / "t.csv"
     argv = ["table-moments", "--grid-n", "2", "--grid-rho", "-0.5", "--out", str(out)]
@@ -1199,6 +1246,7 @@ def test_main_writes_each_run_record(tmp_path, capsys, argv, code, simulated):
     assert manifest["run"]["wall_s"]["write"] >= 0.0
 
 
+@pytest.mark.numpy_floor
 def test_manifest_simd_drops_a_target_numpy_was_told_to_disable(tmp_path):
     argv = ["table-moments", "--grid-n", "2", "--grid-rho", "0.5", "--out"]
     assert main(argv + [str(tmp_path / "host.csv")]) == 0

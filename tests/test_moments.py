@@ -4,8 +4,8 @@ The second-moment quantities (variance of the scaled mean, the
 mean/observation covariances, E[s^2]) reproduce the oracle to float
 precision. The two printed fourth-moment expressions are implemented
 verbatim and do NOT: away from rho = 0 they disagree with the oracle by
-large factors, so the comparison machinery must flag them and expose the
-oracle value as authoritative. Tests below pin both behaviors.
+large factors, so the comparison machinery must flag them. Tests below
+pin both behaviors.
 """
 
 import math
@@ -145,9 +145,9 @@ def test_sample_variance_mean_shrinks_under_positive_rho():
     # positive autocorrelation makes the Bessel variance biased low
     p0 = Ar1Params(mu=0.0, sigma=1.0, rho=0.0, n=10)
     p1 = Ar1Params(mu=0.0, sigma=1.0, rho=0.6, n=10)
-    assert mean_of_sample_variance(p1) < mean_of_sample_variance(p0) * (
-        p1.marginal_variance / 1.0
-    )
+    # below the marginal variance sigma^2 / (1 - rho^2)
+    marginal = p1.sigma**2 / ((1.0 - p1.rho) * (1.0 + p1.rho))
+    assert mean_of_sample_variance(p1) < mean_of_sample_variance(p0) * marginal
     # and stays strictly positive
     assert mean_of_sample_variance(p1) > 0.0
 
@@ -168,7 +168,7 @@ def test_fourth_moment_forms_flagged_away_from_zero(rho):
 
     This is a property of the printed formulas, not of the oracle: the
     Monte Carlo suite confirms the trace values. The comparison layer
-    must mark these reports discrepant and hand authority to the oracle.
+    must mark these reports discrepant.
     """
     p = Ar1Params(mu=0.0, sigma=1.0, rho=rho, n=10)
     for quantity in (
@@ -178,7 +178,6 @@ def test_fourth_moment_forms_flagged_away_from_zero(rho):
         report = compare_moment(quantity, p)
         assert report.discrepant
         assert report.rel_gap > DISCREPANCY_RTOL
-        assert report.authoritative == report.oracle
 
 
 def test_printed_variance_is_not_second_moment_minus_square():
@@ -211,7 +210,6 @@ def test_compare_moment_report_fields():
     assert report.params == p
     assert report.abs_gap == abs(report.closed_form - report.oracle)
     assert not report.discrepant
-    assert report.authoritative == report.closed_form
 
 
 def test_extreme_corner_keeps_precision():

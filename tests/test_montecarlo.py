@@ -316,6 +316,7 @@ def _traced_peak(func, *args):
         tracemalloc.stop()
 
 
+@pytest.mark.numpy_floor
 def test_summarize_memory_at_a_million_values():
     # each power is taken in place in its own centred finite copy, and the
     # first copy is freed before the second is made: one copy and its finite
@@ -326,6 +327,7 @@ def test_summarize_memory_at_a_million_values():
     assert np.array_equal(values, before)
 
 
+@pytest.mark.numpy_floor
 def test_ks_test_memory_with_the_student_cdf():
     # the sorted copy, the cdf's two buffers (the first becomes its result)
     # and then one rank-gap array: 3.13 arrays, 3.21 when the cdf's density
@@ -335,6 +337,7 @@ def test_ks_test_memory_with_the_student_cdf():
     assert _traced_peak(ks_test, sample, StudentLaw(9.0).cdf) < 3.2 * sample.nbytes
 
 
+@pytest.mark.numpy_floor
 def test_ks_test_memory_in_place():
     # out=sample sorts the caller's array: the cdf's two buffers and one
     # rank-gap array remain, one array less than with the sorted copy (2.13
@@ -345,6 +348,7 @@ def test_ks_test_memory_in_place():
     assert peak < 2.2 * sample.nbytes
 
 
+@pytest.mark.numpy_floor
 def test_empirical_density_memory_in_place():
     # out=sample sorts the caller's array and Silverman's rule reads it as it
     # is, so one temporary of np.std or np.percentile is the largest array;
@@ -368,6 +372,7 @@ def _bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
 
+@pytest.mark.numpy_floor
 @pytest.mark.parametrize(
     "readout",
     [
@@ -390,6 +395,7 @@ def test_readouts_in_place_match_a_copy(readout):
     assert np.array_equal(sample[: finite.size], np.sort(finite))
 
 
+@pytest.mark.numpy_floor
 @pytest.mark.parametrize(
     "readout",
     [

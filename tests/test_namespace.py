@@ -37,6 +37,7 @@ def test_no_name_is_listed_by_two_modules():
 
 def test_package_all_is_version_plus_the_module_lists():
     assert ar1_tstat.__all__ == ["__version__", *(name for _, name in _listed())]
+    assert len(ar1_tstat.__all__) == 62
     assert set(dir(ar1_tstat)) >= {*ar1_tstat.__all__, *MODULES}
 
 
@@ -53,18 +54,41 @@ def test_re_wrapping_helpers_are_callable_but_not_public():
     assert "covariance_with_mean_total" not in listed
     assert "covariance_with_mean" not in oracle.__all__
     p = ar1_tstat.Ar1Params(mu=0.0, sigma=1.0, rho=0.5, n=5)
-    assert moments.covariance_with_mean_total(p) == moments.variance_of_scaled_mean(p)
+    assert moments.covariance_with_mean_total is moments.variance_of_scaled_mean
     assert oracle.covariance_with_mean(p, 2) == oracle.mean_covariance_profile(p)[1]
     assert ar1_tstat.covariance_with_mean is moments.covariance_with_mean
 
 
-@pytest.mark.parametrize("module, name", [("tstat", "StatKind"), ("moments", "compare_all")])
+@pytest.mark.parametrize(
+    "module, name",
+    [("tstat", "StatKind"), ("moments", "compare_all"), ("tstat", "noncentrality")],
+)
 def test_retired_copies_resolve_nowhere(module, name):
-    # the statistic kind is the engine's Functional; moment_grid maps compare_moment itself
+    # the statistic kind is the engine's Functional; moment_grid maps compare_moment
+    # itself; sqrt(n) mu / sigma was the noncentrality of neither statistic at rho != 0
     assert not hasattr(importlib.import_module(f"ar1_tstat.{module}"), name)
     assert name not in ar1_tstat.__all__
     with pytest.raises(AttributeError, match=name):
         getattr(ar1_tstat, name)
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [
+        ("Ar1Params", "marginal_variance"),
+        ("Ar1Params", "marginal_std"),
+        ("MomentReport", "authoritative"),
+    ],
+)
+def test_retired_properties_raise_attribute_error(owner, name):
+    # no code read them; the marginal variance divided by 1 - rho**2, 5e-10 off near |rho| = 1
+    p = ar1_tstat.Ar1Params(mu=0.0, sigma=1.0, rho=0.5, n=5)
+    instance = {
+        "Ar1Params": p,
+        "MomentReport": ar1_tstat.compare_moment(ar1_tstat.MomentQuantity.SAMPLE_VARIANCE_MEAN, p),
+    }[owner]
+    with pytest.raises(AttributeError, match=name):
+        getattr(instance, name)
 
 
 def test_a_t_statistic_kind_is_a_functional():

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -9,13 +7,6 @@ from ar1_tstat import Ar1Params, STATIONARITY_MARGIN, StudentLaw
 def test_fields_and_derived_quantities():
     p = Ar1Params(mu=0.5, sigma=2.0, rho=0.3, n=25)
     assert p.mu == 0.5 and p.sigma == 2.0 and p.rho == 0.3 and p.n == 25
-    assert p.marginal_variance == pytest.approx(4.0 / (1.0 - 0.09), rel=1e-15)
-    assert p.marginal_std == pytest.approx(math.sqrt(p.marginal_variance), rel=1e-15)
-
-
-def test_iid_case_marginal_equals_innovation():
-    p = Ar1Params(mu=0.0, sigma=1.7, rho=0.0, n=5)
-    assert p.marginal_variance == 1.7 * 1.7
 
 
 def test_frozen():

@@ -156,6 +156,7 @@ _DENSITY_IN_PLACE = {
 }
 
 
+@pytest.mark.numpy_floor
 @pytest.mark.parametrize("case", sorted(_DENSITY_IN_PLACE))
 def test_density_in_place_is_bit_equal(case):
     # in place where every t^2/k is finite; otherwise the overflow branch
@@ -171,6 +172,7 @@ def test_density_in_place_is_bit_equal(case):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.numpy_floor
 def test_density_out_must_be_t_itself():
     law = StudentLaw(9.0)
     t = np.linspace(-1.0, 1.0, 5)
@@ -187,6 +189,7 @@ def test_density_out_must_be_t_itself():
 _GL_TABLE_DIGEST = "7791a0591d54d300e533aaf08c7daeeabad514257e15ee558b0391c97bb76c8a"
 
 
+@pytest.mark.numpy_floor
 def test_gl_table_matches_leggauss():
     # the literal table is leggauss(24) bit for bit where it was written;
     # another host's eigen-solve may move a last bit, never more than two
@@ -358,6 +361,7 @@ def _ks_sample():
     return t
 
 
+@pytest.mark.numpy_floor
 def test_cdf_peak_at_a_million_sorted_arguments():
     # the head holds the clipped magnitudes and one edges buffer, 2.13
     # arguments' worth at its peak. With np.unique, full-size mid/half_width
@@ -370,6 +374,7 @@ def test_cdf_peak_at_a_million_sorted_arguments():
     assert _traced_peak(StudentLaw(9.0).cdf, t) < 2.2 * t.nbytes
 
 
+@pytest.mark.numpy_floor
 def test_cdf_peak_at_a_million_permuted_arguments():
     # 2.13 arrays; 2.21 with the density beside the node buffer, 2.53 with
     # the transposed copy and the sign mask
@@ -377,6 +382,7 @@ def test_cdf_peak_at_a_million_permuted_arguments():
     assert _traced_peak(StudentLaw(9.0).cdf, t) < 2.2 * t.nbytes
 
 
+@pytest.mark.numpy_floor
 def test_cdf_peak_at_the_long_paths_ks_size():
     # 16,384 values, as the mc-long-paths KS: the chunk temporaries dominate.
     # The density written over the one node buffer makes 1.55 chunk arrays;
@@ -415,6 +421,7 @@ def _tie_at_a_block_start(t):
     return bool(np.any(edges[starts] == edges[starts - 1]))
 
 
+@pytest.mark.numpy_floor
 @pytest.mark.parametrize("dof", [1.0, 9.0, 999.0])
 def test_cdf_head_matches_unique_route(dof, monkeypatch):
     rng = np.random.default_rng(int(dof))
@@ -455,6 +462,7 @@ def test_cdf_head_matches_unique_route(dof, monkeypatch):
     assert np.array_equal(mixed, _unique_route(law, t))
 
 
+@pytest.mark.numpy_floor
 @pytest.mark.parametrize("dof", [0.7, 9.0, 300.0])
 def test_cdf_is_a_function_of_the_set_of_magnitudes(dof):
     # the panel edges are the union of every |t| in the call, so neither the
@@ -485,6 +493,7 @@ def _one_shot_panels(func, edges):
     return (func(nodes) @ _GL_WEIGHTS) * half_width
 
 
+@pytest.mark.numpy_floor
 @pytest.mark.parametrize(
     "panels", [_PANEL_CHUNK - 1, _PANEL_CHUNK, _PANEL_CHUNK + 1, 3 * _PANEL_CHUNK + 5]
 )

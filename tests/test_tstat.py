@@ -9,7 +9,6 @@ from ar1_tstat import (
     Functional,
     covariance_matrix,
     modified_t_statistic,
-    noncentrality,
     paths_from_normals,
     simulate_path,
     stream_generator,
@@ -61,11 +60,6 @@ def test_degenerate_sample_raises():
 def test_too_short_sample_raises():
     with pytest.raises(ValueError):
         t_statistic(np.array([1.0]))
-
-
-def test_noncentrality():
-    p = Ar1Params(mu=0.5, sigma=2.0, rho=0.0, n=16)
-    assert noncentrality(p) == pytest.approx(4.0 * 0.5 / 2.0, rel=1e-15)
 
 
 def test_whiten_matches_matrix_multiply():
